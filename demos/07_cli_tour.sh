@@ -7,7 +7,7 @@ cd "$(dirname "$0")"
 
 SC=scenarios/small.ini
 
-echo "== validate: internal cross-checks (closed form, duality, solvers, simulation)"
+echo "== validate: internal cross-checks (closed form, duality, half-step, simulation)"
 pops validate "$SC"
 
 echo

@@ -52,13 +52,9 @@ from .lattice import (
 )
 from .montecarlo import McConfig, McEstimate, estimate_sinr, required_symbol_span
 from .optimizer import (
-    APPROACHES,
-    ConditioningWarning,
     PopsConfig,
     PopsResult,
-    half_step_gep,
-    half_step_rayleigh,
-    half_step_whitening,
+    half_step,
     load_pops_result,
     run_pops,
     save_pops_result,
@@ -76,8 +72,6 @@ from .sinr import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "APPROACHES",
-    "ConditioningWarning",
     "KernelMatrix",
     "KroneckerSystem",
     "LatticeConfig",
@@ -100,9 +94,7 @@ __all__ = [
     "build_ks",
     "build_ks_kin",
     "estimate_sinr",
-    "half_step_gep",
-    "half_step_rayleigh",
-    "half_step_whitening",
+    "half_step",
     "initialization_study",
     "inner",
     "jakes_density",

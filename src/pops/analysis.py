@@ -147,7 +147,6 @@ def waveform_from_dict(d: dict) -> Waveform:
 
 def pops_to_dict(pcfg: PopsConfig) -> dict:
     d = {
-        "approach": pcfg.approach,
         "epsilon": pcfg.epsilon,
         "max_iterations": pcfg.max_iterations,
         "snr": "inf" if math.isinf(pcfg.snr) else pcfg.snr,
@@ -159,10 +158,11 @@ def pops_to_dict(pcfg: PopsConfig) -> dict:
 
 
 def pops_from_dict(d: dict) -> PopsConfig:
+    """Inverse of pops_to_dict; other keys, such as the retired ``approach``
+    of older sidecars, are ignored."""
     init = waveform_from_dict(d["init"]) if "init" in d else None
     snr = d["snr"]
     return PopsConfig(
-        approach=d["approach"],
         epsilon=d["epsilon"],
         max_iterations=d["max_iterations"],
         snr=math.inf if snr == "inf" else float(snr),

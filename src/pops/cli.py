@@ -40,11 +40,10 @@ from .lattice import (
     make_rrc_init,
 )
 from .montecarlo import estimate_sinr
-from .optimizer import run_pops, save_pops_result
+from .optimizer import half_step, run_pops, save_pops_result
 from .scenario import Scenario, ScenarioError, load_scenario
 from .sinr import sinr, sinr_conventional, sinr_time_reversed
 from .kernels import build_ks_kin
-from .optimizer import _SOLVERS  # solver table, reused by `validate`
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -352,12 +351,9 @@ def _cmd_validate(sc: Scenario, args) -> str:
     pcfg = sc.pops(cfg)
     phi = pcfg.init if pcfg.init is not None else make_hermite_init(cfg, [1.0])
     ks, kin = build_ks_kin(phi, ch, cfg, cfg.L_psi, snr, sign=1, label="receive")
-    values = []
-    for name, solver in _SOLVERS.items():
-        _, value = solver(ks, kin)
-        values.append(value)
-    spread = (max(values) - min(values)) / max(values)
-    checks.append(("solver-agreement", spread <= 1e-6, f"rel spread {spread:.3e}"))
+    psi, value = half_step(ks, kin)
+    err = rel(value, sinr(phi, psi, ch, cfg, snr).sinr)
+    checks.append(("half-step-vs-engine", err <= 1e-10, f"rel err {err:.3e}"))
 
     mc = dataclasses.replace(sc.mc(), trials=min(sc.mc().trials, 4000))
     est = estimate_sinr(tx_cv, rx_cv, ch, cfg, snr, mc)

@@ -1,12 +1,13 @@
 """Ping-pong alternating SINR maximization of the waveform pair.
 
 Each half-step maximizes the generalized Rayleigh quotient
-x^H KS x / x^H KIN x over one prototype with the other held fixed; three
-interchangeable solvers are provided:
-
-* ``rayleigh``     — dominant eigenvector of KIN^{-1} KS (default; fastest).
-* ``lagrange-gep`` — generalized eigenproblem KS x = mu KIN x, largest mu.
-* ``whitening``    — diagonalize KIN, whiten, ordinary Hermitian eigenproblem.
+x^H KS x / x^H KIN x over one prototype with the other held fixed.  The
+maximizer is the top eigenvector of the Hermitian-definite problem
+KS x = m T x with T = KS + KIN, whose value is mu = m / (1 - m); T stays
+positive definite when KIN alone is singular (snr=inf), so an
+interference-free direction simply reaches m = 1, an infinite SIR.  When T
+itself is singular (e.g. the ideal channel at snr=inf) the problem is solved
+on the range of T, which loses nothing: null(T) = null(KS) & null(KIN).
 
 The ping solves for the receiver on a window selected once by the
 maximum-trace rule and then frozen; the pong reuses the same machinery on the
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -42,29 +42,19 @@ from .lattice import (
 __all__ = [
     "PopsConfig",
     "PopsResult",
-    "ConditioningWarning",
-    "half_step_rayleigh",
-    "half_step_gep",
-    "half_step_whitening",
+    "half_step",
     "run_pops",
     "save_pops_result",
     "load_pops_result",
 ]
 
-APPROACHES = ("rayleigh", "lagrange-gep", "whitening")
-
-_EIG_FLOOR = 1e-14
-
-
-class ConditioningWarning(UserWarning):
-    """KIN required eigenvalue clamping during whitening."""
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
 class PopsConfig:
     """Optimizer settings; `init` defaults to the order-0 Hermite Gaussian."""
 
-    approach: str = "rayleigh"
     epsilon: float = 1e-10
     max_iterations: int = 200
     snr: float = math.inf
@@ -72,8 +62,6 @@ class PopsConfig:
     paper_literal_gep: bool = False
 
     def __post_init__(self):
-        if self.approach not in APPROACHES:
-            raise ValueError(f"approach must be one of {APPROACHES}, got {self.approach!r}")
         if not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if self.max_iterations < 1:
@@ -97,9 +85,15 @@ class PopsResult:
 
 
 def _quotient(ks: KernelMatrix, kin: KernelMatrix, x: np.ndarray) -> float:
+    """x^H KS x / x^H KIN x for unit-norm x.
+
+    Interference below the rounding level of the quadratic form,
+    L * eps * trace(KIN), reads as zero: an infinite SIR.
+    """
     num = float(np.real(np.vdot(x, ks.data @ x)))
     den = float(np.real(np.vdot(x, kin.data @ x)))
-    return num / den if den > 0 else math.inf
+    floor = ks.L * _EPS * float(np.real(np.trace(kin.data)))
+    return num / den if den > floor else math.inf
 
 
 def _package(vec: np.ndarray, ks: KernelMatrix, kin: KernelMatrix) -> tuple[Waveform, float]:
@@ -107,50 +101,32 @@ def _package(vec: np.ndarray, ks: KernelMatrix, kin: KernelMatrix) -> tuple[Wave
     return w, _quotient(ks, kin, w.samples)
 
 
-def half_step_rayleigh(ks: KernelMatrix, kin: KernelMatrix) -> tuple[Waveform, float]:
-    """Dominant eigenvector of KIN^{-1} KS (may raise LinAlgError if KIN singular)."""
-    M = np.linalg.solve(kin.data, ks.data)
-    vals, vecs = np.linalg.eig(M)
-    return _package(vecs[:, int(np.argmax(vals.real))], ks, kin)
+def half_step(ks: KernelMatrix, kin: KernelMatrix,
+              notes: list[str] | None = None) -> tuple[Waveform, float]:
+    """Maximizer of x^H KS x / x^H KIN x and its value (see the module docstring).
 
-
-def half_step_gep(ks: KernelMatrix, kin: KernelMatrix) -> tuple[Waveform, float]:
-    """Generalized eigenproblem KS x = mu KIN x; eigenvector of the largest mu."""
-    _, vecs = scipy.linalg.eigh(ks.data, kin.data, subset_by_index=[ks.L - 1, ks.L - 1])
-    return _package(vecs[:, 0], ks, kin)
-
-
-def half_step_whitening(ks: KernelMatrix, kin: KernelMatrix) -> tuple[Waveform, float]:
-    """Whiten by KIN = U Lam U^H, solve the ordinary eigenproblem, unwhiten.
-
-    Eigenvalues of KIN below 1e-14 of the largest are clamped to that floor
-    (a ConditioningWarning is emitted), which also covers the snr=inf case
-    with a singular interference kernel.
+    When KS + KIN is singular the solve runs on its range, and a note giving
+    the rank is appended to ``notes`` if a list is passed.
     """
-    lam, U = np.linalg.eigh(kin.data)
-    top = float(lam[-1])
-    if top <= 0:
-        raise np.linalg.LinAlgError("interference-plus-noise kernel is zero")
-    floor = _EIG_FLOOR * top
-    if lam[0] < floor:
-        warnings.warn(
-            f"clamping {int(np.sum(lam < floor))} eigenvalue(s) of KIN to {floor:.3e}",
-            ConditioningWarning,
-            stacklevel=2,
-        )
-        lam = np.maximum(lam, floor)
-    white = U / np.sqrt(lam)
-    phi_mat = white.conj().T @ ks.data @ white
-    phi_mat = 0.5 * (phi_mat + phi_mat.conj().T)
-    _, vecs = np.linalg.eigh(phi_mat)
-    return _package(white @ vecs[:, -1], ks, kin)
+    L = ks.L
+    t = ks.data + kin.data
+    try:
+        _, vecs = scipy.linalg.eigh(ks.data, t, subset_by_index=[L - 1, L - 1])
+        vec = vecs[:, 0]
+    except np.linalg.LinAlgError:  # the Cholesky factorization of a singular T
+        lam, U = np.linalg.eigh(t)
+        keep = lam > L * _EPS * lam[-1]
+        white = U[:, keep] / np.sqrt(lam[keep])
+        _, vecs = np.linalg.eigh(white.conj().T @ ks.data @ white)
+        vec = white @ vecs[:, -1]
+        if notes is not None:
+            notes.append(f"KS + KIN singular (rank {int(keep.sum())} of {L}); "
+                         "solved on its range")
+    return _package(vec, ks, kin)
 
 
-_SOLVERS = {
-    "rayleigh": half_step_rayleigh,
-    "lagrange-gep": half_step_gep,
-    "whitening": half_step_whitening,
-}
+# One-entry solver table: the benchmark's tracer finds the half-step here.
+_SOLVERS = {"half_step": half_step}
 
 
 def _diff_norm(a: Waveform | None, b: Waveform) -> float:
@@ -178,22 +154,9 @@ def run_pops(cfg: LatticeConfig, ch, pcfg: PopsConfig) -> PopsResult:
     converged = False
     iterations = 0
 
-    solver = _SOLVERS[pcfg.approach]
     # The literal form of the GEP listing divides by the bare interference
     # kernel, which is exactly the snr=inf denominator.
     den_snr = math.inf if pcfg.paper_literal_gep else pcfg.snr
-
-    def solve(ks: KernelMatrix, kin: KernelMatrix) -> tuple[Waveform, float]:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", ConditioningWarning)
-            try:
-                out = solver(ks, kin)
-            except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
-                notes.append(f"{pcfg.approach} half-step failed; fell back to whitening")
-                out = half_step_whitening(ks, kin)
-            for item in caught:
-                notes.append(str(item.message))
-        return out
 
     for it in range(1, pcfg.max_iterations + 1):
         iterations = it
@@ -201,14 +164,14 @@ def run_pops(cfg: LatticeConfig, ch, pcfg: PopsConfig) -> PopsResult:
         ks, kin = build_ks_kin(phi, ch, cfg, cfg.L_psi, den_snr,
                                window_start=psi_window, label="tx")
         psi_window = ks.window_start
-        psi_new, value = solve(ks, kin)
+        psi_new, value = half_step(ks, kin, notes)
         trajectory.append((it, "ping", value))
         e_psi = _diff_norm(psi, psi_new)
         psi = psi_new
         # Pong: transmit update via the time-reversal identity.
         ks, kin = build_ks_kin(time_reverse(psi), ch, cfg, cfg.L_phi, den_snr,
                                window_start=pong_start, label="rx-reversed")
-        phi_rev, value = solve(ks, kin)
+        phi_rev, value = half_step(ks, kin, notes)
         phi_new = phase_fixed(time_reverse(phi_rev))
         trajectory.append((it, "pong", value))
         e_phi = _diff_norm(phi, phi_new)
@@ -223,7 +186,7 @@ def run_pops(cfg: LatticeConfig, ch, pcfg: PopsConfig) -> PopsResult:
         sinr_trajectory=tuple(trajectory),
         converged=converged,
         iterations_used=iterations,
-        warnings=tuple(notes),
+        warnings=tuple(dict.fromkeys(notes)),  # each distinct note once
     )
 
 

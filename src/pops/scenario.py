@@ -34,7 +34,7 @@ from .lattice import (
     make_rrc_init,
 )
 from .montecarlo import McConfig
-from .optimizer import APPROACHES, PopsConfig
+from .optimizer import PopsConfig
 
 __all__ = ["Scenario", "ScenarioError", "load_scenario", "scenario_from_text"]
 
@@ -61,7 +61,6 @@ _SCHEMA: dict[str, dict[str, str | None]] = {
         "powers": None,
     },
     "pops": {
-        "approach": "rayleigh",
         "epsilon": "1e-10",
         "max_iterations": "200",
         "paper_literal_gep": "false",
@@ -299,14 +298,8 @@ class Scenario:
         )
 
     def pops(self, cfg: LatticeConfig) -> PopsConfig:
-        approach = self._require("pops", "approach")
-        if approach not in APPROACHES:
-            raise ScenarioError(
-                f"pops.approach must be one of {APPROACHES}, got {approach!r}"
-            )
         try:
             return PopsConfig(
-                approach=approach,
                 epsilon=self._float("pops", "epsilon"),
                 max_iterations=self._int("pops", "max_iterations"),
                 snr=self.snr,

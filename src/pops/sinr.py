@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import j0
 
 from .channel import PathList, SeparableChannel
-from .kernels import build_ki, build_ks
+from .kernels import build_ks_kin
 from .lattice import LatticeConfig, Waveform, inner, lattice_atom, time_reverse
 
 __all__ = [
@@ -62,8 +62,8 @@ def sinr(tx: Waveform, rx: Waveform, ch, cfg: LatticeConfig, snr: float) -> Sinr
     """SINR of the pair (tx, rx): rx^H KS rx / rx^H (KI + ||tx||^2/snr I) rx."""
     if tx.energy == 0 or rx.energy == 0:
         raise ValueError("waveforms must have nonzero energy")
-    ks = build_ks(tx, ch, len(rx), window_start=rx.offset)
-    ki = build_ki(tx, ch, cfg, len(rx), window_start=rx.offset)
+    # At snr=inf the KIN of the pair is the bare KI; noise is added in _report.
+    ks, ki = build_ks_kin(tx, ch, cfg, len(rx), math.inf, window_start=rx.offset)
     scale = tx.energy * rx.energy
     return _report(ks.quad(rx) / scale, ki.quad(rx) / scale, snr)
 
@@ -77,8 +77,7 @@ def sinr_role_swapped(tx: Waveform, rx: Waveform, ch, cfg: LatticeConfig,
     """
     if tx.energy == 0 or rx.energy == 0:
         raise ValueError("waveforms must have nonzero energy")
-    ks = build_ks(rx, ch, len(tx), window_start=tx.offset, sign=-1)
-    ki = build_ki(rx, ch, cfg, len(tx), window_start=tx.offset, sign=-1)
+    ks, ki = build_ks_kin(rx, ch, cfg, len(tx), math.inf, window_start=tx.offset, sign=-1)
     scale = tx.energy * rx.energy
     return _report(ks.quad(tx) / scale, ki.quad(tx) / scale, snr)
 

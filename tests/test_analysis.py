@@ -33,6 +33,7 @@ from pops import (
     sweep_time_sync,
     write_sweep_csv,
 )
+from pops.analysis import pops_from_dict, pops_to_dict
 
 
 class TestSweepResult:
@@ -360,6 +361,13 @@ class TestReplay:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             rerun_from_metadata({"sweep": "nonsense"})
+
+    def test_legacy_approach_key_is_ignored(self):
+        # Sidecars written before the single half-step solver carry "approach".
+        legacy = {"approach": "rayleigh", "epsilon": 1e-8, "max_iterations": 7,
+                  "snr": "inf", "paper_literal_gep": False}
+        assert pops_from_dict(legacy) == PopsConfig(epsilon=1e-8, max_iterations=7)
+        assert "approach" not in pops_to_dict(pops_from_dict(legacy))
 
 
 class TestThreadedMap:

@@ -1,7 +1,6 @@
-"""Half-step eigen-solvers and the alternating waveform-pair optimization."""
+"""The half-step eigensolve and the alternating waveform-pair optimization."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -9,16 +8,13 @@ import scipy.linalg
 
 from helpers import random_kernel_pair, random_waveform
 from pops import (
-    ConditioningWarning,
     KernelMatrix,
     LatticeConfig,
     PathList,
     PopsConfig,
     PopsResult,
     SeparableChannel,
-    half_step_gep,
-    half_step_rayleigh,
-    half_step_whitening,
+    half_step,
     load_pops_result,
     run_pops,
     save_pops_result,
@@ -28,7 +24,7 @@ from pops.kernels import build_ks_kin
 
 
 class TestHalfStepSolvers:
-    """Three routes to the dominant generalized eigenpair."""
+    """The dominant generalized eigenpair, against the dense eigensolver."""
 
     def test_agree_with_dense_reference(self):
         rng = np.random.default_rng(81)
@@ -38,33 +34,48 @@ class TestHalfStepSolvers:
             want = scipy.linalg.eigh(
                 ks.data, kin.data, eigvals_only=True, subset_by_index=[L - 1, L - 1]
             )[0]
-            for solver in (half_step_rayleigh, half_step_gep, half_step_whitening):
-                w, value = solver(ks, kin)
-                assert value == pytest.approx(want, rel=1e-6), (trial, solver.__name__)
+            _, value = half_step(ks, kin)
+            assert value == pytest.approx(want, rel=1e-10), trial
 
     def test_returned_vector_attains_value(self):
         rng = np.random.default_rng(82)
         ks, kin = random_kernel_pair(rng, 24)
-        for solver in (half_step_rayleigh, half_step_gep, half_step_whitening):
-            w, value = solver(ks, kin)
-            x = w.samples
-            quotient = np.real(x.conj() @ ks.data @ x) / np.real(x.conj() @ kin.data @ x)
-            assert quotient == pytest.approx(value, rel=1e-12)
-            assert w.energy == pytest.approx(1.0)
-            assert w.offset == ks.window_start
+        w, value = half_step(ks, kin)
+        x = w.samples
+        quotient = np.real(x.conj() @ ks.data @ x) / np.real(x.conj() @ kin.data @ x)
+        assert quotient == pytest.approx(value, rel=1e-12)
+        assert w.energy == pytest.approx(1.0)
+        assert w.offset == ks.window_start
 
     def test_value_is_maximal_over_random_vectors(self):
         rng = np.random.default_rng(83)
         ks, kin = random_kernel_pair(rng, 16)
-        _, value = half_step_gep(ks, kin)
+        _, value = half_step(ks, kin)
         for _ in range(50):
             x = rng.standard_normal(16) + 1j * rng.standard_normal(16)
             q = np.real(x.conj() @ ks.data @ x) / np.real(x.conj() @ kin.data @ x)
             assert q <= value * (1 + 1e-12)
 
-    def test_whitening_clamps_singular_kernel(self):
-        # Rank-deficient KIN: the whitening route must clamp and warn rather
-        # than blow up.
+    def test_singular_total_kernel_is_solved_on_its_range(self):
+        # KS and KIN share a 5-dimensional null space, so KS + KIN is
+        # singular; the value is that of the problem restricted to the range.
+        rng = np.random.default_rng(85)
+        L, r = 14, 9
+        V, _ = np.linalg.qr(rng.standard_normal((L, r)) + 1j * rng.standard_normal((L, r)))
+        ks_r, kin_r = random_kernel_pair(rng, r)
+        ks = KernelMatrix(V @ ks_r.data @ V.conj().T, "useful", "synthetic", 1, 0)
+        kin = KernelMatrix(V @ kin_r.data @ V.conj().T, "interference-plus-noise",
+                           "synthetic", 1, 0)
+        want = scipy.linalg.eigh(ks_r.data, kin_r.data, eigvals_only=True,
+                                 subset_by_index=[r - 1, r - 1])[0]
+        notes = []
+        _, value = half_step(ks, kin, notes)
+        assert value == pytest.approx(want, rel=1e-10)
+        assert notes == [f"KS + KIN singular (rank {r} of {L}); solved on its range"]
+
+    def test_singular_interference_gives_infinite_value(self):
+        # KIN of rank 3 with KS positive definite: KS + KIN stays definite and
+        # the maximizer lies in null(KIN), an interference-free direction.
         rng = np.random.default_rng(84)
         G = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
         A = (G @ G.conj().T) / 12
@@ -72,15 +83,16 @@ class TestHalfStepSolvers:
         B = H @ H.conj().T  # rank 3
         ks = KernelMatrix(A, "useful", "synthetic", 1, 0)
         kin = KernelMatrix(B, "interference-plus-noise", "synthetic", 1, 0)
-        with pytest.warns(ConditioningWarning):
-            _, value = half_step_whitening(ks, kin)
-        assert np.isfinite(value) and value > 0
+        notes = []
+        w, value = half_step(ks, kin, notes)
+        x = w.samples
+        assert value == math.inf
+        assert np.real(x.conj() @ B @ x) <= 1e-12 * np.real(x.conj() @ A @ x)
+        assert notes == []
 
 
 class TestPopsConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            PopsConfig(approach="newton")
         with pytest.raises(ValueError):
             PopsConfig(epsilon=0.0)
         with pytest.raises(ValueError):
@@ -130,26 +142,15 @@ class TestRunPops:
         # At a fixed point one more receiver half-step cannot improve.
         ks, kin = build_ks_kin(res.tx_opt, self.ch, self.cfg, self.cfg.L_psi, 10.0,
                                window_start=res.rx_opt.offset)
-        _, best = half_step_rayleigh(ks, kin)
+        _, best = half_step(ks, kin)
         assert best <= res.final_sinr * (1 + 1e-9)
-
-    def test_approaches_agree(self):
-        finals = {}
-        for approach in ("rayleigh", "lagrange-gep", "whitening"):
-            res = run_pops(self.cfg, self.ch,
-                           PopsConfig(approach=approach, snr=10.0, max_iterations=80))
-            finals[approach] = res.final_sinr
-        vals = np.array(list(finals.values()))
-        assert np.ptp(vals) / vals.min() < 1e-6, finals
 
     def test_literal_gep_is_zero_noise_denominator(self):
         # The plain generalized eigenproblem divides by the bare interference
         # kernel; with snr=inf both formulations coincide.
-        a = run_pops(self.cfg, self.ch,
-                     PopsConfig(approach="lagrange-gep", snr=math.inf, max_iterations=25))
+        a = run_pops(self.cfg, self.ch, PopsConfig(snr=math.inf, max_iterations=25))
         b = run_pops(self.cfg, self.ch,
-                     PopsConfig(approach="lagrange-gep", snr=10.0, paper_literal_gep=True,
-                                max_iterations=25))
+                     PopsConfig(snr=10.0, paper_literal_gep=True, max_iterations=25))
         np.testing.assert_allclose(a.tx_opt.samples, b.tx_opt.samples, atol=1e-12)
 
     def test_custom_init_is_honored(self):
@@ -174,14 +175,12 @@ class TestRunPops:
         assert long.final_sinr >= short.final_sinr * (1 - 1e-6)
 
     def test_singular_interference_is_reported_not_fatal(self):
-        # Ideal channel at snr=inf: the interference kernel is singular; the
-        # run must complete, recording the conditioning notes.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            res = run_pops(self.cfg, PathList.ideal(),
-                           PopsConfig(approach="whitening", snr=math.inf, max_iterations=2))
-        assert any("clamping" in note for note in res.warnings)
-        assert np.isfinite(res.tx_opt.energy)
+        # Ideal channel at snr=inf: KS + KIN has rank Q < N; the run must
+        # complete interference-free and record the singular-T note once.
+        res = run_pops(self.cfg, PathList.ideal(), PopsConfig(snr=math.inf, max_iterations=2))
+        assert res.final_sinr == math.inf
+        assert res.warnings == ("KS + KIN singular (rank 8 of 10); solved on its range",)
+        assert res.tx_opt.energy == pytest.approx(1.0)
 
 
 class TestResultSerialization:

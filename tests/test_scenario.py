@@ -50,7 +50,6 @@ class TestParsing:
     def test_defaults_fill_every_section(self):
         sc = scenario_from_text(MINIMAL)
         pcfg = sc.pops(sc.lattice())
-        assert pcfg.approach == "rayleigh"
         assert pcfg.epsilon == 1e-10
         assert pcfg.max_iterations == 200
         mc = sc.mc()
@@ -65,6 +64,10 @@ class TestParsing:
         text = "[lattice]\nN = 20\nQ = 16\nM = 3\n\n[channel]\ntype = ideal\n"
         with pytest.raises(ScenarioError, match=r"lattice\.M"):
             scenario_from_text(text)
+
+    def test_retired_approach_key_is_named(self):
+        with pytest.raises(ScenarioError, match=r"pops\.approach"):
+            scenario_from_text(MINIMAL + "\n[pops]\napproach = rayleigh\n")
 
     def test_unknown_section_is_named(self):
         with pytest.raises(ScenarioError, match="radio"):
@@ -252,7 +255,7 @@ N = 20
         assert scenario_from_text(MINIMAL).hash == scenario_from_text(shuffled).hash
 
     def test_explicit_default_matches_omitted(self):
-        explicit = MINIMAL + "\n[pops]\napproach = rayleigh\n"
+        explicit = MINIMAL + "\n[pops]\nepsilon = 1e-10\n"
         assert scenario_from_text(MINIMAL).hash == scenario_from_text(explicit).hash
 
     def test_values_change_hash(self):
