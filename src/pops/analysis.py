@@ -541,14 +541,15 @@ def initialization_study(
     snr: float,
     inits,
     pops: PopsConfig | None = None,
-    bound_max_dimension: int = 4096,
 ) -> SweepResult:
     """Final SINR per named initialization, with bound and baseline.
 
     ``inits`` is a sequence of (name, Waveform) pairs (at least two).  The
-    ``upper_bound`` and ``conventional`` series are constant; the bound is NaN
-    when the Kronecker dimension exceeds ``bound_max_dimension`` or the SIR
-    bound is infinite, with the reason recorded in ``metadata["warnings"]``.
+    ``upper_bound`` and ``conventional`` series are constant.  The bound is
+    taken on the channel itself (a separable channel with its closed-form
+    Doppler autocorrelation); it is NaN when the SIR bound is infinite (a
+    singular interference operator at snr = inf), with the reason recorded in
+    ``metadata["warnings"]``.
     """
     inits = list(inits)
     if len(inits) < 2:
@@ -561,11 +562,9 @@ def initialization_study(
         inits,
     )
     conventional = sinr_conventional(cfg, ch, snr).sinr
-    paths = ch.to_pathlist() if isinstance(ch, SeparableChannel) else ch
     try:
-        sys_ = build_kronecker_system(cfg, paths, max_dimension=bound_max_dimension)
-        bound_value = upper_bound(sys_, snr)
-    except (ValueError, SingularInterferenceError) as exc:
+        bound_value = upper_bound(build_kronecker_system(cfg, ch), snr)
+    except SingularInterferenceError as exc:
         warnings.append(f"upper bound unavailable: {exc}")
         bound_value = math.nan
 
@@ -585,7 +584,6 @@ def initialization_study(
             "snr": _snr_token(snr),
             "pops": pops_to_dict(pcfg),
             "inits": {name: waveform_to_dict(w) for name, w in inits},
-            "bound_max_dimension": bound_max_dimension,
             "warnings": warnings,
         },
     )
@@ -710,6 +708,5 @@ def rerun_from_metadata(metadata: dict) -> SweepResult:
             _snr_value(metadata["snr"]),
             [(name, waveform_from_dict(d)) for name, d in metadata["inits"].items()],
             pops=pops_from_dict(metadata["pops"]),
-            bound_max_dimension=metadata["bound_max_dimension"],
         )
     raise ValueError(f"unknown sweep kind {kind!r}")

@@ -1,24 +1,33 @@
 """Kronecker-relaxation upper bound on the achievable SINR.
 
 For a fixed pair of support windows, the useful and interference powers are
-quadratic forms in the Kronecker vector ``chi = phi (x) conj(psi)`` (transmit
-sample index major, receive index minor),
+quadratic forms in the Kronecker vector ``chi = phi (x) conj(psi)``,
 
     P_S = chi^H A chi,      P_I = chi^H B chi,
 
-where ``A`` collects the per-path selection operators that pair a transmit
-sample ``alpha`` with a receive sample ``beta`` at the path lag
-``beta - alpha = p_k``, and ``B`` collects the same pairings at every lattice
-lag ``p_k + n N`` folded over the ``Q`` subcarriers with the comb identity,
-minus ``A``.  Maximizing the quotient over *all* unit vectors ``chi`` instead
-of the rank-one set ``{phi (x) conj(psi)}`` relaxes the waveform-design
-problem into a single generalized eigenvalue problem whose top eigenvalue can
-never be below the SINR of any concrete waveform pair on those windows.
+where ``A`` pairs a transmit sample ``i`` with a receive sample ``j`` at each
+path lag ``j - i = p_k``, and ``B`` collects the same pairings at every
+lattice lag ``p_k + n N`` folded over the ``Q`` subcarriers with the comb
+identity, minus ``A``.  Maximizing the quotient over *all* unit vectors
+``chi`` instead of the rank-one set ``{phi (x) conj(psi)}`` relaxes the
+waveform-design problem into a generalized eigenvalue problem whose top
+eigenvalue can never be below the SINR of any waveform pair on those windows.
 
-The construction is pinned down by the defining identity
-``kronecker_quotient(sys, tx, rx) == sir(tx, rx)`` for every waveform pair
-embedded in the system's windows; ``tests/test_bound.py`` checks it against
-the kernel engine on randomized instances.
+Both forms couple ``(i, j)`` with ``(i', j')`` only within one pairing, hence
+only when ``j - i = j' - i'``: ordered by lag, A and B are exactly block
+diagonal (the cross-lag entries are structural zeros).  The block of lag
+``l`` acts on ``chi_l[i] = phi[i] conj(psi[i + l])`` and its entry
+``(i, i')`` depends only on ``d = i - i'``, so it is Hermitian Toeplitz: for
+A the symbol ``r(d) = sum_k pi_k exp(-2j pi nu_k Ts d)`` over the paths at
+the lag's delay, for B ``Q [d = 0 mod Q]`` times that sum over every delay
+congruent to it mod N, minus A's.  A separable channel enters as tap power
+times J0.  The bound is the largest top eigenvalue of the per-lag problems,
+each of size at most ``min(L_phi, L_psi)``.
+
+The construction is pinned down by the identity
+``kronecker_quotient(sys, tx, rx) == sir(tx, rx)`` for every pair embedded in
+the system's windows; ``tests/test_bound.py`` checks it against the kernel
+engine, and the blocks against a dense assembly of A and B.
 """
 
 from __future__ import annotations
@@ -29,16 +38,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .channel import PathList
+from .channel import PathList, SeparableChannel
 from .lattice import LatticeConfig, Waveform
 
-__all__ = [
-    "KroneckerSystem",
-    "SingularInterferenceError",
-    "build_kronecker_system",
-    "kronecker_quotient",
-    "upper_bound",
-]
+__all__ = ["KroneckerSystem", "SingularInterferenceError", "build_kronecker_system",
+           "kronecker_quotient", "upper_bound"]
 
 # Relative eigenvalue threshold below which B is treated as singular.
 _SINGULAR_RTOL = 1e-12
@@ -60,11 +64,14 @@ class KroneckerSystem:
 
     Attributes
     ----------
-    a_matrix, b_matrix : ndarray
-        Hermitian PSD operators on the Kronecker space; ``chi^H A chi`` is
-        the useful power and ``chi^H B chi`` the interference power of the
-        pair ``chi = phi (x) conj(psi)`` (up to the common energy factor,
-        which cancels in every quotient).
+    a_matrix, b_matrix : ndarray, shape (len(lags), m, m)
+        Diagonal blocks of the Hermitian PSD operators A and B, zero-padded
+        to size m; ``chi^H A chi`` is the useful power and ``chi^H B chi`` the
+        interference power of the pair ``chi = phi (x) conj(psi)`` (up to the
+        common energy factor, which cancels in every quotient).
+    lags : ndarray of int
+        Window-local lag ``j - i`` of each block (lags without a pairing,
+        all zeros in A and B, are left out).
     phi_offset, phi_length : int
         Transmit-side window: global sample indices
         ``[phi_offset, phi_offset + phi_length)``.
@@ -74,55 +81,73 @@ class KroneckerSystem:
 
     a_matrix: np.ndarray
     b_matrix: np.ndarray
+    lags: np.ndarray
     phi_offset: int
     phi_length: int
     psi_offset: int
     psi_length: int
 
     def __post_init__(self) -> None:
-        dim = self.phi_length * self.psi_length
-        for name in ("a_matrix", "b_matrix"):
-            mat = getattr(self, name)
-            if mat.shape != (dim, dim):
-                raise ValueError(f"{name} must be {dim}x{dim}, got {mat.shape}")
-            mat.flags.writeable = False
+        m = int(_lag_rows(self.lags, self.phi_length, self.psi_length)[1].max(initial=0))
+        if not self.a_matrix.shape == self.b_matrix.shape == (self.lags.size, m, m):
+            raise ValueError(f"blocks must be {self.lags.size}x{m}x{m}, got "
+                             f"{self.a_matrix.shape} and {self.b_matrix.shape}")
+        for arr in (self.a_matrix, self.b_matrix, self.lags):
+            arr.flags.writeable = False
 
     @property
     def dimension(self) -> int:
         return self.phi_length * self.psi_length
 
 
-def _pair_indices(shift: int, l_phi: int, l_psi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Local (i, j) index pairs with j - i == shift, or empty arrays."""
-    i_lo = max(0, -shift)
-    i_hi = min(l_phi, l_psi - shift)
-    if i_hi <= i_lo:
-        empty = np.empty(0, dtype=np.intp)
-        return empty, empty
-    i = np.arange(i_lo, i_hi, dtype=np.intp)
-    return i, i + shift
+def _lag_rows(lags: np.ndarray, l_phi: int, l_psi: int) -> tuple[np.ndarray, np.ndarray]:
+    """First transmit index and number of pairs (i, i + lag) inside both windows."""
+    first = np.maximum(0, -lags)
+    return first, np.minimum(l_phi, l_psi - lags) - first
+
+
+def _delay_autocorrelation(ch: PathList | SeparableChannel, d: np.ndarray) -> np.ndarray:
+    """``sum_k pi_k exp(-2j pi nu_k Ts d)`` over the paths of each distinct delay."""
+    if isinstance(ch, SeparableChannel):
+        return np.outer(ch.powers(), ch.doppler_autocorrelation(d))
+    delays, group = np.unique(ch.delays, return_inverse=True)
+    rho = np.zeros((delays.size, d.size), dtype=np.complex128)
+    phase = np.exp(-2j * np.pi * np.outer(ch.dopplers * ch.Ts, d))
+    np.add.at(rho, group, ch.powers[:, None] * phase)
+    return rho
+
+
+def _toeplitz_blocks(symbol: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Hermitian Toeplitz blocks ``M[t, r, s] = symbol[t, r - s]`` (given for
+    ``r >= s``), zero in the rows and columns at or past ``sizes[t]``."""
+    r = np.arange(symbol.shape[1])
+    diff = r[:, None] - r[None, :]
+    blocks = symbol[:, np.abs(diff)]
+    blocks[:, diff < 0] = blocks[:, diff < 0].conj()
+    inside = r < sizes[:, None]
+    blocks[~(inside[:, :, None] & inside[:, None, :])] = 0.0
+    return blocks
 
 
 def build_kronecker_system(
     cfg: LatticeConfig,
-    ch: PathList,
+    ch: PathList | SeparableChannel,
     *,
     phi_offset: int | None = None,
     phi_length: int | None = None,
     psi_offset: int | None = None,
     psi_length: int | None = None,
-    max_dimension: int = 4096,
 ) -> KroneckerSystem:
-    """Assemble the A/B operators for the given lattice, channel and windows.
+    """Assemble the lag blocks of A and B for the given lattice, channel and windows.
 
     Parameters
     ----------
     cfg : LatticeConfig
         Lattice geometry; supplies N (time stride), Q (subcarriers) and the
         default window lengths ``L_phi``/``L_psi``.
-    ch : PathList
-        Discrete channel paths.  Separable channels are bounded through
-        their Doppler quadrature grid (``SeparableChannel.to_pathlist``).
+    ch : PathList or SeparableChannel
+        Discrete channel paths, summed per delay, or a separable channel,
+        whose taps carry the Jakes autocorrelation J0 in closed form.
     phi_offset, phi_length, psi_offset, psi_length : int, optional
         Support windows for the two prototypes.  The default transmit window
         is the optimizer's: length ``cfg.L_phi`` centered so that
@@ -132,14 +157,6 @@ def build_kronecker_system(
         power), so the bound dominates ``run_pops`` regardless of which
         receive window its trace rule picks; a waveform supported on any
         sub-window embeds with an unchanged quotient.
-    max_dimension : int
-        Guard on the Kronecker dimension ``phi_length * psi_length``; the
-        generalized eigensolve is dense and cubic, so very large windows are
-        refused with the size report rather than silently thrashing.
-
-    Returns
-    -------
-    KroneckerSystem
     """
     if phi_length is None:
         phi_length = cfg.L_phi
@@ -151,54 +168,32 @@ def build_kronecker_system(
         # Candidate receive windows [s, s + L_psi) have nonzero useful power
         # for s in [phi_offset + d_min - L_psi + 1, phi_offset + L_phi - 1
         # + d_max]; take their union so any optimizer choice is covered.
-        d_min = int(ch.delays[0])
-        d_max = int(ch.delays[-1])
-        psi_offset = phi_offset + d_min - cfg.L_psi + 1
-        last_start = phi_offset + phi_length - 1 + d_max
+        psi_offset = phi_offset + int(ch.delays[0]) - cfg.L_psi + 1
+        last_start = phi_offset + phi_length - 1 + int(ch.delays[-1])
         psi_length = last_start + cfg.L_psi - psi_offset
     if phi_length < 1 or psi_length < 1:
         raise ValueError("window lengths must be positive")
-    dim = phi_length * psi_length
-    if dim > max_dimension:
-        raise ValueError(
-            f"Kronecker dimension {phi_length}*{psi_length} = {dim} exceeds "
-            f"max_dimension = {max_dimension}; the dense eigensolve scales as "
-            "dim^3 -- shrink the windows or raise max_dimension explicitly"
-        )
     if ch.Ts != cfg.Ts:
         raise ValueError(f"channel Ts = {ch.Ts} does not match lattice Ts = {cfg.Ts}")
 
-    n_cols = np.arange(psi_length, dtype=np.float64)
-    diff = n_cols[:, None] - n_cols[None, :]  # j - j'
-    comb = np.where(np.round(diff).astype(np.int64) % cfg.Q == 0, float(cfg.Q), 0.0)
-
-    a = np.zeros((dim, dim), dtype=np.complex128)
-    b = np.zeros((dim, dim), dtype=np.complex128)
-    for delay, doppler, power in zip(ch.delays, ch.dopplers, ch.powers):
-        nu_ts = doppler * cfg.Ts
-        # rho_k at (row - col) on receive indices enters conjugated; see the
-        # quadratic-form matching in tests/test_bound.py.
-        rho = np.exp(-2j * np.pi * nu_ts * diff)
-        base_shift = int(delay) + phi_offset - psi_offset
-        # All n with a nonempty pairing: -phi_length < shift + nN < psi_length.
-        n_lo = math.ceil((-phi_length + 1 - base_shift) / cfg.N)
-        n_hi = math.floor((psi_length - 1 - base_shift) / cfg.N)
-        for n in range(n_lo, n_hi + 1):
-            i, j = _pair_indices(base_shift + n * cfg.N, phi_length, psi_length)
-            if i.size == 0:
-                continue
-            flat = i * psi_length + j
-            block = np.ix_(flat, flat)
-            jj = np.ix_(j, j)
-            b[block] += power * (comb[jj] * rho[jj])
-            if n == 0:
-                a[block] += power * rho[jj]
-    b -= a
-    a = 0.5 * (a + a.conj().T)
-    b = 0.5 * (b + b.conj().T)
+    # Delay p pairs (i, i + l) at every window-local lag l = p + shift + n N.
+    shift = phi_offset - psi_offset
+    lags = np.arange(1 - phi_length, psi_length)
+    delays = np.unique(ch.delays)
+    folded = (lags[:, None] - shift - delays[None, :]) % cfg.N == 0
+    paired = folded.any(axis=1)
+    lags, folded = lags[paired], folded[paired]
+    _, sizes = _lag_rows(lags, phi_length, psi_length)
+    d = np.arange(sizes.max(initial=0))
+    rho = _delay_autocorrelation(ch, d)
+    own = (lags[:, None] - shift == delays[None, :]).astype(np.float64)
+    a_symbol = own @ rho
+    comb = np.where(d % cfg.Q == 0, float(cfg.Q), 0.0)
+    b_symbol = comb * (folded.astype(np.float64) @ rho) - a_symbol
     return KroneckerSystem(
-        a_matrix=a,
-        b_matrix=b,
+        a_matrix=_toeplitz_blocks(a_symbol, sizes),
+        b_matrix=_toeplitz_blocks(b_symbol, sizes),
+        lags=lags,
         phi_offset=phi_offset,
         phi_length=phi_length,
         psi_offset=psi_offset,
@@ -224,12 +219,22 @@ def kronecker_quotient(sys: KroneckerSystem, tx: Waveform, rx: Waveform) -> floa
     """
     phi = _embed(tx, sys.phi_offset, sys.phi_length, "transmit")
     psi = _embed(rx, sys.psi_offset, sys.psi_length, "receive")
-    chi = np.kron(phi, psi.conj())
-    ps = float(np.real(chi.conj() @ (sys.a_matrix @ chi)))
-    pi = float(np.real(chi.conj() @ (sys.b_matrix @ chi)))
+    first, sizes = _lag_rows(sys.lags, sys.phi_length, sys.psi_length)
+    r = np.arange(sys.a_matrix.shape[1])
+    i = first[:, None] + r
+    inside = r < sizes[:, None]
+    chi = np.zeros(inside.shape, dtype=np.complex128)
+    chi[inside] = phi[i[inside]] * psi[(i + sys.lags[:, None])[inside]].conj()
+    ps = float(np.real(np.vdot(chi, (sys.a_matrix @ chi[..., None])[..., 0])))
+    pi = float(np.real(np.vdot(chi, (sys.b_matrix @ chi[..., None])[..., 0])))
     if pi <= 0.0:
         return math.inf if ps > 0.0 else 0.0
     return ps / pi
+
+
+def _hermitian_projection(mat: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    sub = basis.conj().T @ mat @ basis
+    return 0.5 * (sub + sub.conj().T)
 
 
 def upper_bound(sys: KroneckerSystem, snr: float = math.inf) -> float:
@@ -238,7 +243,8 @@ def upper_bound(sys: KroneckerSystem, snr: float = math.inf) -> float:
     With unit-norm ``chi`` the noise term contributes ``1/snr`` to the
     denominator, so the quotient relaxes the exact SINR and its maximum
     dominates the SINR of every waveform pair supported on the system's
-    windows (snr = inf gives the pure SIR bound).
+    windows (snr = inf gives the pure SIR bound).  A and B are block diagonal
+    by lag, so this is the largest of the per-block top eigenvalues.
 
     Raises
     ------
@@ -250,31 +256,25 @@ def upper_bound(sys: KroneckerSystem, snr: float = math.inf) -> float:
     # Directions outside range(A + B) carry neither useful nor interference
     # power (both forms are PSD, so null quadratic form means null vector);
     # they never help the quotient and would fake a singular B on windows
-    # larger than the channel's reach.  Work on range(A + B).
-    total_eigs, total_vecs = scipy.linalg.eigh(sys.a_matrix + sys.b_matrix)
-    keep = total_eigs > _SINGULAR_RTOL * max(total_eigs[-1], 0.0)
-    if not np.any(keep):
+    # larger than the channel's reach or on a block's zero padding.  Work on
+    # range(A + B); thresholds are relative to the largest over all blocks.
+    total_eigs, total_vecs = np.linalg.eigh(sys.a_matrix + sys.b_matrix)
+    keep = total_eigs > _SINGULAR_RTOL * max(total_eigs.max(initial=0.0), 0.0)
+    subs = [
+        (_hermitian_projection(a, vecs[:, kept]),
+         _hermitian_projection(b, vecs[:, kept]) + np.eye(kept.sum()) / snr)
+        for a, b, vecs, kept in zip(sys.a_matrix, sys.b_matrix, total_vecs, keep)
+        if kept.any()
+    ]
+    if not subs:
         return 0.0
-    basis = total_vecs[:, keep]
-    a_sub = basis.conj().T @ sys.a_matrix @ basis
-    b_sub = basis.conj().T @ sys.b_matrix @ basis
-    a_sub = 0.5 * (a_sub + a_sub.conj().T)
-    b_sub = 0.5 * (b_sub + b_sub.conj().T)
-    if math.isfinite(snr):
-        b_sub[np.diag_indices_from(b_sub)] += 1.0 / snr
-    else:
-        eigs = scipy.linalg.eigvalsh(b_sub)
-        if eigs[0] <= _SINGULAR_RTOL * max(eigs[-1], 0.0):
+    if math.isinf(snr):
+        eigs = np.concatenate([scipy.linalg.eigvalsh(b_sub) for _, b_sub in subs])
+        if eigs.min() <= _SINGULAR_RTOL * max(eigs.max(), 0.0):
             raise SingularInterferenceError(
                 "interference operator is singular at snr = inf (some chi has "
                 "zero interference, the SIR bound is infinite); pass a finite "
                 "snr for the noise-regularized bound"
             )
-    dim = a_sub.shape[0]
-    top = scipy.linalg.eigh(
-        a_sub,
-        b_sub,
-        eigvals_only=True,
-        subset_by_index=[dim - 1, dim - 1],
-    )
-    return float(top[0])
+    return float(max(scipy.linalg.eigh(a_sub, b_sub, eigvals_only=True)[-1]
+                     for a_sub, b_sub in subs))

@@ -28,7 +28,6 @@ import numpy as np
 
 from . import analysis
 from .bound import SingularInterferenceError, build_kronecker_system, upper_bound
-from .channel import SeparableChannel
 from .lattice import (
     LatticeConfig,
     Waveform,
@@ -133,10 +132,7 @@ def _cmd_conventional(sc: Scenario, args) -> str:
 
 def _cmd_upperbound(sc: Scenario, args) -> str:
     cfg = sc.lattice()
-    ch = sc.channel()
-    paths = ch.to_pathlist() if isinstance(ch, SeparableChannel) else ch
-    max_dim = sc._int("bound", "max_dimension")
-    sys_ = build_kronecker_system(cfg, paths, max_dimension=max_dim)
+    sys_ = build_kronecker_system(cfg, sc.channel())
     value = upper_bound(sys_, sc.snr)
     _write_json(
         sc.output_dir / "upperbound.json",
@@ -289,7 +285,6 @@ def _cmd_sweep(sc: Scenario, args) -> str:
             snr,
             _study_inits(sc, cfg),
             pops=pcfg,
-            bound_max_dimension=sc._int("bound", "max_dimension"),
         )
     out = sc.output_dir / f"sweep_{kind}.csv"
     out.parent.mkdir(parents=True, exist_ok=True)

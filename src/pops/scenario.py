@@ -1,7 +1,7 @@
 """Scenario files: one INI document drives every CLI capability.
 
 A scenario collects the lattice geometry, the channel, the SNR, optimizer
-settings, and per-capability sections (sweep, mc, psd, bound, sinr).  Parsing
+settings, and per-capability sections (sweep, mc, psd, sinr).  Parsing
 is strict: unknown sections or keys are rejected by name, every type error
 names the offending ``section.key``, and ``--set section.key=value`` overrides
 are applied before validation.  The scenario hash -- sha256 over the fully
@@ -93,7 +93,6 @@ _SCHEMA: dict[str, dict[str, str | None]] = {
         "chunk_size": "8192",
     },
     "psd": {"oversample": "16", "n_subcarriers": "1", "source": "optimized-tx", "file": None},
-    "bound": {"max_dimension": "4096"},
 }
 
 _REQUIRED = {("lattice", "N"), ("lattice", "Q"), ("channel", "type")}
@@ -379,8 +378,9 @@ def _apply_schema(
     provided: set[tuple[str, str]] = set()
     for section in parser.sections():
         if section not in _SCHEMA:
+            keys = ", ".join(f"{section}.{key}" for key in parser[section])
             raise ScenarioError(
-                f"unknown section [{section}]; known sections: {', '.join(_SCHEMA)}"
+                f"unknown section [{section}] ({keys}); known sections: {', '.join(_SCHEMA)}"
             )
         for key, value in parser.items(section):
             if key not in _SCHEMA[section]:

@@ -1,6 +1,9 @@
 """Shared factories for randomized test instances."""
 
+import math
+
 import numpy as np
+import scipy.linalg
 
 from pops import KernelMatrix, LatticeConfig, PathList, Waveform, normalized
 
@@ -36,3 +39,51 @@ def random_kernel_pair(rng, L, ridge=0.1):
     ks = KernelMatrix(A, "useful", "synthetic", 1, 0)
     kin = KernelMatrix(B, "interference-plus-noise", "synthetic", 1, 0)
     return ks, kin
+
+
+def dense_kronecker_forms(cfg, ch, phi_offset, phi_length, psi_offset, psi_length):
+    """A and B assembled densely on the whole Kronecker space, path by path.
+
+    Transmit index major, receive index minor: the oracle for the lag blocks
+    of ``build_kronecker_system`` (``ch`` is a PathList).
+    """
+    dim = phi_length * psi_length
+    diff = np.arange(psi_length)[:, None] - np.arange(psi_length)[None, :]  # j - j'
+    comb = np.where(diff % cfg.Q == 0, float(cfg.Q), 0.0)
+    a = np.zeros((dim, dim), dtype=np.complex128)
+    b = np.zeros((dim, dim), dtype=np.complex128)
+    for delay, doppler, power in zip(ch.delays, ch.dopplers, ch.powers):
+        rho = np.exp(-2j * np.pi * doppler * cfg.Ts * diff)
+        base_shift = int(delay) + phi_offset - psi_offset
+        n_lo = -((phi_length - 1 + base_shift) // cfg.N)
+        n_hi = (psi_length - 1 - base_shift) // cfg.N
+        for n in range(n_lo, n_hi + 1):
+            shift = base_shift + n * cfg.N
+            i = np.arange(max(0, -shift), min(phi_length, psi_length - shift))
+            j = i + shift
+            block = np.ix_(i * psi_length + j, i * psi_length + j)
+            jj = np.ix_(j, j)
+            b[block] += power * (comb[jj] * rho[jj])
+            if n == 0:
+                a[block] += power * rho[jj]
+    b -= a
+    return 0.5 * (a + a.conj().T), 0.5 * (b + b.conj().T)
+
+
+def lag_block_indices(sys_, t):
+    """Dense Kronecker indices i * psi_length + j of the pairs in block t."""
+    lag = int(sys_.lags[t])
+    i = np.arange(max(0, -lag), min(sys_.phi_length, sys_.psi_length - lag))
+    return i * sys_.psi_length + i + lag
+
+
+def dense_upper_bound(a, b, snr):
+    """Top generalized eigenvalue of (A, B + I/snr) on range(A + B), dense."""
+    eigs, vecs = scipy.linalg.eigh(a + b)
+    basis = vecs[:, eigs > 1e-12 * max(eigs[-1], 0.0)]
+    a_sub = basis.conj().T @ a @ basis
+    b_sub = basis.conj().T @ b @ basis
+    if math.isfinite(snr):
+        b_sub += np.eye(basis.shape[1]) / snr
+    return float(scipy.linalg.eigh(0.5 * (a_sub + a_sub.conj().T), 0.5 * (b_sub + b_sub.conj().T),
+                                   eigvals_only=True)[-1])

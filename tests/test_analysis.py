@@ -269,17 +269,17 @@ class TestInitializationStudy:
         assert np.all(bound >= sinrs)
         assert conv[0] == pytest.approx(sinr_conventional(cfg, ch, 10.0).sinr)
 
-    def test_oversized_bound_goes_nan_with_warning(self):
+    def test_singular_bound_goes_nan_with_warning(self):
+        # The ideal channel leaves interference-free directions: infinite SIR bound.
         cfg = LatticeConfig(N=10, Q=8)
-        ch = SeparableChannel.from_spread_product(cfg, 0.01)
         inits = [
             ("hermite", make_hermite_init(cfg, [1.0])),
             ("gaussian", make_gaussian_init(cfg, (cfg.L_phi - 1) / 2, 2.0)),
         ]
-        r = initialization_study(cfg, ch, 10.0, inits, bound_max_dimension=10,
-                                 pops=PopsConfig(snr=10.0, max_iterations=5))
+        r = initialization_study(cfg, PathList.ideal(), math.inf, inits,
+                                 pops=PopsConfig(max_iterations=5))
         assert np.all(np.isnan(r.series["upper_bound"]))
-        assert any("bound" in w for w in r.metadata["warnings"])
+        assert any("singular" in w for w in r.metadata["warnings"])
 
     def test_needs_two_inits(self):
         cfg = LatticeConfig(N=10, Q=8)
@@ -357,6 +357,21 @@ class TestReplay:
         r = psd(make_conventional_tx(cfg), cfg, oversample=4)
         again = rerun_from_metadata(r.metadata)
         np.testing.assert_array_equal(again.series["psd_db"], r.series["psd_db"])
+
+    def test_legacy_bound_dimension_key_is_ignored(self):
+        # Sidecars written before the lag-block bound carry "bound_max_dimension".
+        cfg = LatticeConfig(N=10, Q=8)
+        ch = SeparableChannel.from_spread_product(cfg, 0.01)
+        inits = [
+            ("hermite", make_hermite_init(cfg, [1.0])),
+            ("gaussian", make_gaussian_init(cfg, (cfg.L_phi - 1) / 2, 2.0)),
+        ]
+        r = initialization_study(cfg, ch, 10.0, inits,
+                                 pops=PopsConfig(snr=10.0, max_iterations=5))
+        assert "bound_max_dimension" not in r.metadata
+        again = rerun_from_metadata({**r.metadata, "bound_max_dimension": 10})
+        for k in r.series:
+            np.testing.assert_array_equal(again.series[k], r.series[k])
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

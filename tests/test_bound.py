@@ -5,11 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_pathlist, random_waveform
+from helpers import (
+    dense_kronecker_forms,
+    dense_upper_bound,
+    lag_block_indices,
+    random_pathlist,
+    random_waveform,
+)
 from pops import (
     LatticeConfig,
     PathList,
     PopsConfig,
+    SeparableChannel,
     SingularInterferenceError,
     build_kronecker_system,
     kronecker_quotient,
@@ -53,6 +60,18 @@ class TestQuotientIdentity:
             assert rel < 1e-10, trial
         assert worst < 1e-10
 
+    def test_separable_matches_engine_sir(self):
+        # A separable channel enters with its closed-form J0, as in the kernels.
+        rng = np.random.default_rng(104)
+        for trial in range(10):
+            cfg = LatticeConfig(N=int(rng.integers(8, 13)), Q=int(rng.integers(6, 9)))
+            ch = SeparableChannel.from_spread_product(cfg, float(rng.uniform(0.005, 0.05)))
+            tx = random_waveform(rng, cfg.L_phi, offset=-(cfg.L_phi // 2))
+            rx = random_waveform(rng, cfg.L_psi, offset=int(rng.integers(-4, 2)))
+            got = kronecker_quotient(_system_for(cfg, ch, tx, rx), tx, rx)
+            want = sinr(tx, rx, ch, cfg, math.inf).sir
+            assert got == pytest.approx(want, rel=1e-10), trial
+
     def test_quotient_scale_invariant(self):
         rng = np.random.default_rng(102)
         cfg = LatticeConfig(N=10, Q=8)
@@ -93,10 +112,10 @@ class TestSystemStructure:
             cfg = LatticeConfig(N=9, Q=6)
             ch = random_pathlist(rng, max_delay=3, k=2, nu_scale=0.05)
             sys_ = build_kronecker_system(cfg, ch)
-            for M in (sys_.a_matrix, sys_.b_matrix):
-                np.testing.assert_allclose(M, M.conj().T, atol=1e-14)
-                lo = np.linalg.eigvalsh(M)[0]
-                assert lo > -1e-10 * max(np.abs(M).max(), 1.0), trial
+            for blocks in (sys_.a_matrix, sys_.b_matrix):
+                np.testing.assert_array_equal(blocks, np.conj(np.swapaxes(blocks, 1, 2)))
+                lo = np.linalg.eigvalsh(blocks).min()
+                assert lo > -1e-10 * max(np.abs(blocks).max(), 1.0), trial
 
     def test_dimension_property(self):
         cfg = LatticeConfig(N=8, Q=6)
@@ -104,12 +123,18 @@ class TestSystemStructure:
                                       phi_offset=-4, phi_length=8,
                                       psi_offset=-2, psi_length=10)
         assert sys_.dimension == 80
-        assert sys_.a_matrix.shape == (80, 80)
+        # The one path pairs (i, j) at lags j - i = -2 + 8n: 6 pairs at -2, 4 at 6.
+        np.testing.assert_array_equal(sys_.lags, [-2, 6])
+        assert sys_.a_matrix.shape == sys_.b_matrix.shape == (2, 6, 6)
+        assert not sys_.a_matrix[1, 4:].any() and not sys_.a_matrix[1, :, 4:].any()
 
-    def test_dimension_cap(self):
-        cfg = LatticeConfig(N=64, Q=32)
-        with pytest.raises(ValueError, match="dimension"):
-            build_kronecker_system(cfg, PathList.ideal(), max_dimension=100)
+    def test_paper_scale_builds_only_lag_blocks(self):
+        # dim 160 * 492 = 78720: one block per (delay, lattice shift), none dense.
+        cfg = LatticeConfig(N=160, Q=128)
+        ch = SeparableChannel.from_spread_product(cfg, 0.01)
+        sys_ = build_kronecker_system(cfg, ch)
+        assert sys_.dimension == 78720
+        assert sys_.a_matrix.shape == sys_.b_matrix.shape == (38, 160, 160)
 
     def test_window_argument_validation(self):
         cfg = LatticeConfig(N=8, Q=6)
@@ -123,6 +148,50 @@ class TestSystemStructure:
         inside_rx = random_waveform(rng, 6, offset=0)
         with pytest.raises(ValueError):
             kronecker_quotient(sys_, outside, inside_rx)
+
+
+class TestLagBlocks:
+    """The blocks against the dense assembly of A and B they replace."""
+
+    def _instances(self):
+        rng = np.random.default_rng(131)
+        for _ in range(6):
+            n = int(rng.integers(6, 12))
+            cfg = LatticeConfig(N=n, Q=int(rng.integers(4, n + 1)))
+            ch = random_pathlist(rng, max_delay=int(rng.integers(0, 2 * n)), k=3, nu_scale=0.05)
+            sys_ = build_kronecker_system(cfg, ch)
+            yield sys_, dense_kronecker_forms(cfg, ch, sys_.phi_offset, sys_.phi_length,
+                                              sys_.psi_offset, sys_.psi_length)
+
+    def test_cross_lag_entries_are_zero(self):
+        for sys_, (a, b) in self._instances():
+            inside = np.zeros(a.shape, dtype=bool)
+            for t in range(sys_.lags.size):
+                idx = lag_block_indices(sys_, t)
+                inside[np.ix_(idx, idx)] = True
+            assert not a[~inside].any() and not b[~inside].any()
+
+    def test_blocks_equal_dense_submatrices(self):
+        for sys_, (a, b) in self._instances():
+            for t in range(sys_.lags.size):
+                idx = lag_block_indices(sys_, t)
+                m = idx.size
+                np.testing.assert_allclose(sys_.a_matrix[t, :m, :m], a[np.ix_(idx, idx)],
+                                           rtol=0, atol=1e-13)
+                np.testing.assert_allclose(sys_.b_matrix[t, :m, :m], b[np.ix_(idx, idx)],
+                                           rtol=0, atol=1e-13)
+
+    def test_bound_equals_dense_top_eigenvalue(self):
+        cfg = LatticeConfig(N=10, Q=8)
+        ch = SeparableChannel.from_spread_product(cfg, 0.01).to_pathlist(8)
+        sys_ = build_kronecker_system(cfg, ch)
+        a, b = dense_kronecker_forms(cfg, ch, sys_.phi_offset, sys_.phi_length,
+                                     sys_.psi_offset, sys_.psi_length)
+        for snr in (10.0, math.inf):
+            assert upper_bound(sys_, snr) == pytest.approx(dense_upper_bound(a, b, snr), rel=1e-10)
+        for sys_, (a, b) in self._instances():
+            assert upper_bound(sys_, 10.0) == pytest.approx(dense_upper_bound(a, b, 10.0),
+                                                            rel=1e-10)
 
 
 class TestUpperBound:
@@ -152,8 +221,6 @@ class TestUpperBound:
         # A sparse path set can leave interference-free directions in the
         # product space (the zero-noise bound is then rightly infinite); the
         # Doppler-spread profile keeps the interference operator invertible.
-        from pops import SeparableChannel
-
         return SeparableChannel.from_spread_product(self.cfg, 0.01).to_pathlist(8)
 
     def test_dominates_any_embedded_quotient(self):

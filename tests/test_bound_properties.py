@@ -1,0 +1,64 @@
+"""Property tests of the Kronecker relaxation on drawn lattices, channels and windows."""
+
+import math
+from datetime import timedelta
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import dense_kronecker_forms, dense_upper_bound, random_waveform
+from pops import LatticeConfig, PathList, build_kronecker_system, kronecker_quotient, sinr, upper_bound
+
+PROPERTY = settings(max_examples=30, deadline=timedelta(seconds=5), derandomize=True,
+                    database=None)
+
+
+@st.composite
+def instances(draw):
+    """Lattice, path list, system windows and a pair of waveforms inside them."""
+    n = draw(st.integers(6, 12))
+    cfg = LatticeConfig(N=n, Q=draw(st.integers(4, n)))
+    paths = draw(st.lists(
+        st.tuples(st.integers(0, 2 * n), st.floats(-0.05, 0.05), st.floats(0.1, 1.0)),
+        min_size=1, max_size=4, unique_by=lambda p: (p[0], p[1]),
+    ))
+    total = sum(p[2] for p in paths)
+    ch = PathList.from_paths([(d, nu, w / total) for d, nu, w in paths])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # tx spans at least N samples, so the pair meets every delay at some lattice
+    # shift: a pair with neither useful nor interference power has no quotient.
+    tx = random_waveform(rng, draw(st.integers(n, n + 2)), offset=draw(st.integers(-6, 0)))
+    rx = random_waveform(rng, draw(st.integers(5, cfg.Q + 1)), offset=draw(st.integers(-4, 2)))
+    pads = [draw(st.integers(0, 3)) for _ in range(4)]
+    sys_ = build_kronecker_system(
+        cfg, ch,
+        phi_offset=tx.offset - pads[0], phi_length=len(tx) + pads[0] + pads[1],
+        psi_offset=rx.offset - pads[2], psi_length=len(rx) + pads[2] + pads[3],
+    )
+    return cfg, ch, sys_, tx, rx
+
+
+@PROPERTY
+@given(instances())
+def test_quotient_equals_sir(inst):
+    cfg, ch, sys_, tx, rx = inst
+    want = sinr(tx, rx, ch, cfg, math.inf).sir
+    assert kronecker_quotient(sys_, tx, rx) == pytest.approx(want, rel=1e-10)
+
+
+@PROPERTY
+@given(instances(), st.floats(0.5, 1000.0))
+def test_bound_equals_dense_oracle(inst, snr):
+    cfg, ch, sys_, _, _ = inst
+    a, b = dense_kronecker_forms(cfg, ch, sys_.phi_offset, sys_.phi_length,
+                                 sys_.psi_offset, sys_.psi_length)
+    assert upper_bound(sys_, snr) == pytest.approx(dense_upper_bound(a, b, snr), rel=1e-10)
+
+
+@PROPERTY
+@given(instances(), st.floats(0.5, 1000.0))
+def test_bound_dominates_drawn_pair(inst, snr):
+    cfg, ch, sys_, tx, rx = inst
+    assert upper_bound(sys_, snr) >= sinr(tx, rx, ch, cfg, snr).sinr * (1 - 1e-10)

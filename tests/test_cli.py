@@ -1,10 +1,15 @@
 """Command-line frontend: subcommands, artifacts, exit codes."""
 
 import json
+import math
+from pathlib import Path
 
 import pytest
 
+from pops import load_scenario, make_hermite_init, sinr
 from pops.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
+
+SCENARIOS = sorted((Path(__file__).resolve().parent.parent / "demos" / "scenarios").glob("*.ini"))
 
 
 @pytest.fixture
@@ -90,6 +95,19 @@ type = ideal
 output_dir = {tmp_path / "out"}
 """)
         assert run_cli("upperbound", str(ini)) == EXIT_NUMERICAL
+
+
+@pytest.mark.parametrize("ini", SCENARIOS, ids=lambda p: p.name)
+def test_upperbound_on_shipped_scenario(ini, tmp_path):
+    # full_scale.ini is the paper's lattice: Kronecker dimension 160 * 492 = 78720.
+    assert run_cli("upperbound", str(ini), "--set", f"run.output_dir={tmp_path}") == EXIT_OK
+    bound = json.loads((tmp_path / "upperbound.json").read_text())["bound"]
+    assert math.isfinite(bound) and bound > 0
+    if ini.name == "full_scale.ini":
+        sc = load_scenario(ini)
+        cfg = sc.lattice()
+        init = make_hermite_init(cfg, [1.0])
+        assert bound >= sinr(init, init, sc.channel(), cfg, sc.snr).sir
 
 
 class TestPsdAndSweep:

@@ -69,6 +69,10 @@ class TestParsing:
         with pytest.raises(ScenarioError, match=r"pops\.approach"):
             scenario_from_text(MINIMAL + "\n[pops]\napproach = rayleigh\n")
 
+    def test_retired_bound_dimension_key_is_named(self):
+        with pytest.raises(ScenarioError, match=r"bound\.max_dimension"):
+            scenario_from_text(MINIMAL + "\n[bound]\nmax_dimension = 4096\n")
+
     def test_unknown_section_is_named(self):
         with pytest.raises(ScenarioError, match="radio"):
             scenario_from_text(MINIMAL + "\n[radio]\npower = 1\n")
