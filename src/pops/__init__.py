@@ -63,6 +63,7 @@ from .scenario import Scenario, ScenarioError, load_scenario, scenario_from_text
 from .sinr import (
     SinrReport,
     noise_correlation,
+    power_ratio,
     sinr,
     sinr_conventional,
     sinr_role_swapped,
@@ -115,6 +116,7 @@ __all__ = [
     "oob_power_fraction",
     "phase_fixed",
     "psd",
+    "power_ratio",
     "read_sweep_csv",
     "required_symbol_span",
     "rerun_from_metadata",

@@ -40,6 +40,7 @@ import scipy.linalg
 
 from .channel import PathList, SeparableChannel
 from .lattice import LatticeConfig, Waveform
+from .sinr import power_ratio
 
 __all__ = ["KroneckerSystem", "SingularInterferenceError", "build_kronecker_system",
            "kronecker_quotient", "upper_bound"]
@@ -227,9 +228,7 @@ def kronecker_quotient(sys: KroneckerSystem, tx: Waveform, rx: Waveform) -> floa
     chi[inside] = phi[i[inside]] * psi[(i + sys.lags[:, None])[inside]].conj()
     ps = float(np.real(np.vdot(chi, (sys.a_matrix @ chi[..., None])[..., 0])))
     pi = float(np.real(np.vdot(chi, (sys.b_matrix @ chi[..., None])[..., 0])))
-    if pi <= 0.0:
-        return math.inf if ps > 0.0 else 0.0
-    return ps / pi
+    return power_ratio(ps, pi)
 
 
 def _hermitian_projection(mat: np.ndarray, basis: np.ndarray) -> np.ndarray:

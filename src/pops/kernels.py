@@ -1,9 +1,9 @@
-"""Hermitian kernel matrices for useful and interference power.
+"""Hermitian kernels for useful and interference power, stored by their structure.
 
 For a prototype waveform w and a scattering function, the useful kernel KS
-and the interference kernel KI are L x L Hermitian PSD matrices on a window
-of the global time axis such that, for the opposite prototype x aligned on
-that window,
+and the interference kernel KI are L x L Hermitian PSD forms on a window of
+the global time axis such that, for the opposite prototype x aligned on that
+window,
 
     x^H KS x = average useful power,      x^H KI x = average interference power
 
@@ -15,9 +15,20 @@ Entries follow the quadratic-form convention
 with rho_k(r) = exp(2j pi nu_k Ts r) for explicit paths and the closed-form
 Jakes autocorrelation rho(r) = J0(pi Bd Ts r) for separable channels.  The
 subcarrier sum in KI is folded analytically through
-sum_{m=0}^{Q-1} exp(2j pi m r / Q) = Q * [r = 0 mod Q], which yields the
-comb-masked matrix Omega; the remaining lattice sum over time shifts n runs
-over the finitely many terms with support overlap.
+sum_{m=0}^{Q-1} exp(2j pi m r / Q) = Q * [r = 0 mod Q]; the remaining lattice
+sum over time shifts n runs over the finitely many terms with support overlap.
+
+No L x L product is formed:
+
+* KS = C C^H with the factor C (L x r): per path, the shifted pulse times its
+  Doppler phase; for a separable channel, at G Gauss-Chebyshev Dopplers
+  (:func:`jakes_nodes`, G = 6-7 at the paper's spreads), so r = K G, or L via a
+  QR when K G > L (Doppler spreads near the sample rate).
+* T = KS + KI (+ ||w||^2/snr I) is zero off the diagonals r = 0 (mod Q): it is
+  stored as its Q residue blocks T[c, a, b] = T(c + a Q, c + b Q), stacked and
+  zero-padded to (Q, m, m) with m = ceil(L / Q).  KI is T - C C^H at snr=inf.
+
+Assembly costs O(L (r + J m)) for J lattice shifts, a half-step O(L (m^2 + m r + r^2) + r^3).
 
 The S(-p, -nu) orientation (sign=-1) negates delays and Dopplers; it appears
 in the role-swap identities and in the pong half-step of the optimizer.
@@ -30,57 +41,77 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import toeplitz
-from scipy.special import j0
+from scipy.special import j0, jv
 
 from .channel import PathList, SeparableChannel
 from .lattice import LatticeConfig, Waveform
 
-__all__ = [
-    "KernelMatrix",
-    "build_ks",
-    "build_ki",
-    "build_kin",
-    "build_ks_kin",
-    "best_window_start",
-]
+__all__ = ["KernelMatrix", "build_ks", "build_ki", "build_kin", "build_ks_kin",
+           "best_window_start"]
 
 KIND_USEFUL = "useful"
 KIND_INTERFERENCE = "interference"
 KIND_INTERFERENCE_NOISE = "interference-plus-noise"
-_KINDS = (KIND_USEFUL, KIND_INTERFERENCE, KIND_INTERFERENCE_NOISE)
 
 
 @dataclass(frozen=True)
 class KernelMatrix:
-    """Hermitian PSD kernel on the global window [window_start, window_start+L)."""
+    """Hermitian PSD kernel on the global window [window_start, window_start+L).
+
+    A useful kernel stores its factor C (L x r) in ``data``: KS = C C^H.  An
+    interference kernel stores the comb blocks (Q, m, m) of T = KS + KI (plus
+    noise) in ``data`` and the C of that KS in ``factor``: KI = T - C C^H.
+    """
 
     data: np.ndarray
     kind: str
     built_from: str
     sign: int
     window_start: int
+    factor: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in (KIND_USEFUL, KIND_INTERFERENCE, KIND_INTERFERENCE_NOISE):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         if self.sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
-        d = np.asarray(self.data, dtype=np.complex128)
-        if d.ndim != 2 or d.shape[0] != d.shape[1]:
-            raise ValueError(f"kernel data must be square, got shape {d.shape}")
-        d = d.copy()
-        d.flags.writeable = False
-        object.__setattr__(self, "data", d)
+        if (self.kind == KIND_USEFUL) != (self.factor is None):
+            raise ValueError("an interference kernel, and only it, carries the factor of KS")
+        for name in ("data", "factor"):
+            if getattr(self, name) is not None:
+                arr = np.array(getattr(self, name), dtype=np.complex128)
+                arr.flags.writeable = False
+                object.__setattr__(self, name, arr)
+        if self.factor is not None and self.data.shape[1:] != (-(-self.L // len(self.data)),) * 2:
+            raise ValueError(f"comb blocks {self.data.shape} do not tile L={self.L}")
         object.__setattr__(self, "window_start", int(self.window_start))
 
     @property
     def L(self) -> int:
-        return self.data.shape[0]
+        return (self.data if self.factor is None else self.factor).shape[0]
 
     def quad(self, w: Waveform) -> float:
         """Real quadratic form x^H K x with x = w restricted to the window."""
         x = w.dense(self.window_start, self.L)
-        return float(np.real(np.vdot(x, self.data @ x)))
+        C = self.data if self.factor is None else self.factor
+        ps = float(np.sum(np.abs(C.T @ x.conj()) ** 2))
+        if self.factor is None:
+            return ps
+        xc = to_comb(x, self.data.shape[0])
+        return float(np.real(np.vdot(xc, (self.data @ xc[..., None])[..., 0]))) - ps
+
+
+def to_comb(x: np.ndarray, Q: int) -> np.ndarray:
+    """Rows of x in comb layout (Q, m, ...): entry [c, a] is row c + a Q, zero past the end."""
+    m = -(-x.shape[0] // Q)
+    padded = np.zeros((m * Q,) + x.shape[1:], dtype=x.dtype)
+    padded[: x.shape[0]] = x
+    return padded.reshape((m, Q) + x.shape[1:]).swapaxes(0, 1)
+
+
+def from_comb(xc: np.ndarray, L: int) -> np.ndarray:
+    """Inverse of :func:`to_comb` for a length-L leading axis."""
+    return xc.swapaxes(0, 1).reshape((-1,) + xc.shape[2:])[:L]
 
 
 def _path_params(ch, sign: int):
@@ -115,55 +146,34 @@ def best_window_start(w: Waveform, ch, L_out: int, sign: int = 1) -> int:
     return int(s_vals[int(np.argmax(trace))])
 
 
-def _shift_range(w: Waveform, s: int, L: int, d: int, N: int) -> range:
-    """Lattice shifts n for which w(. - d - nN) overlaps [s, s+L)."""
-    n_lo = (s - d - w.end) // N + 1
-    n_hi = -(-(s - d + L - w.offset) // N) - 1
-    return range(n_lo, n_hi + 1)
+def jakes_nodes(bd_ts: float, L: int) -> np.ndarray:
+    """Per-sample angular Dopplers theta_i of the fewest Gauss-Chebyshev nodes
+    whose mean of exp(j theta_i r) is J0(pi Bd Ts r) to 1e-14 for |r| < L.
 
-
-def _assemble(w: Waveform, ch, s: int, L: int, sign: int, N: int | None) -> np.ndarray:
-    """sum_k pi_k [sum_n v_kn v_kn^H] with per-path Doppler phases folded in.
-
-    N=None restricts to the n=0 term (useful kernel); otherwise n runs over
-    every lattice shift with support overlap.  For separable channels the
-    (real) Jakes autocorrelation is applied by the caller.
+    The truncation error is 2 |J_2G(pi Bd Ts (L - 1))| at most; it is held to
+    half the target, which leaves the rest to the rounding of the mean.
     """
-    delays, nutilde, powers, _ = _path_params(ch, sign)
-    idx = np.arange(L)
-    step = 0 if N is None else N
-    cols = []
-    for k in range(len(powers)):
-        d = int(delays[k])
-        shifts = (0,) if N is None else _shift_range(w, s, L, d, N)
-        phase = None if nutilde is None else np.exp(2j * np.pi * nutilde[k] * idx)
-        root = math.sqrt(powers[k])
-        for n in shifts:
-            v = w.dense(s - d - n * step, L)
-            if not v.any():
-                continue
-            cols.append(root * (v if phase is None else v * phase))
-    if not cols:
-        return np.zeros((L, L), dtype=np.complex128)
-    G = np.column_stack(cols)
-    return G @ G.conj().T
+    x = math.pi * bd_ts * (L - 1)
+    G = 1
+    while 2.0 * abs(jv(2 * G, x)) > 5e-15:
+        G += 1
+    return math.pi * bd_ts * np.cos(np.pi * (2 * np.arange(G) + 1) / (2 * G))
 
 
-def _jakes_matrix(bd_ts: float, L: int) -> np.ndarray:
-    return toeplitz(j0(np.pi * bd_ts * np.arange(L)))
-
-
-def _comb_matrix(Q: int, L: int) -> np.ndarray:
-    return toeplitz((np.arange(L) % Q == 0).astype(float))
-
-
-def _hermitize(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M + M.conj().T)
+def _rows(w: Waveform, s: int, L: int, shifts: np.ndarray, path: np.ndarray, params) -> np.ndarray:
+    """Rows sqrt(pi_k) w(s + p - t) [exp(2j pi nu_k Ts p) if explicit] for p < L, k = path[i]."""
+    _, nutilde, powers, _ = params
+    padded = np.concatenate((np.zeros(L), w.samples, np.zeros(L)))
+    idx = (s - w.offset + L) - shifts[:, None] + np.arange(L)
+    rows = padded[np.clip(idx, 0, padded.size - 1)] * np.sqrt(powers[path])[:, None]
+    if nutilde is None:
+        return rows
+    return rows * np.exp(2j * np.pi * np.outer(nutilde[path], np.arange(L)))
 
 
 def build_ks(w: Waveform, ch, L_out: int, window_start: int | None = None,
              sign: int = 1, label: str = "w") -> KernelMatrix:
-    """Useful-signal kernel of waveform w on a length-L_out window.
+    """Useful-signal kernel of waveform w on a length-L_out window, as its factor C.
 
     window_start=None selects the maximum-trace window (see
     :func:`best_window_start`).
@@ -171,32 +181,40 @@ def build_ks(w: Waveform, ch, L_out: int, window_start: int | None = None,
     if L_out < 1:
         raise ValueError(f"L_out must be >= 1, got {L_out}")
     s = best_window_start(w, ch, L_out, sign) if window_start is None else int(window_start)
-    M = _assemble(w, ch, s, L_out, sign, N=None)
-    _, _, _, bd_ts = _path_params(ch, sign)
-    if bd_ts is not None and bd_ts != 0.0:
-        M = M * _jakes_matrix(bd_ts, L_out)
-    return KernelMatrix(_hermitize(M), KIND_USEFUL, label, sign, s)
+    params = _path_params(ch, sign)
+    rows = _rows(w, s, L_out, params[0], np.arange(len(params[0])), params)
+    if (bd_ts := params[3]) is not None:
+        theta = jakes_nodes(bd_ts, L_out)
+        phase = np.exp(1j * np.outer(theta, np.arange(L_out))) / math.sqrt(theta.size)
+        rows = (rows[:, None, :] * phase).reshape(-1, L_out)
+    if len(rows) > L_out:  # more columns than samples: Doppler spreads near the sample rate
+        rows = np.linalg.qr(rows, mode="r")  # C^T = Q R gives C C^H = R^T conj(R)
+    return KernelMatrix(rows.T, KIND_USEFUL, label, sign, s)
+
+
+def _interference(w: Waveform, ch, cfg: LatticeConfig, ks: KernelMatrix) -> KernelMatrix:
+    """KI on the window of ks: the comb blocks of the total over lattice shifts."""
+    params = delays, _, _, bd_ts = _path_params(ch, ks.sign)
+    if abs(ch.Ts - cfg.Ts) > 0:
+        raise ValueError(f"channel Ts={ch.Ts} disagrees with lattice Ts={cfg.Ts}")
+    L, s, N = ks.L, ks.window_start, cfg.N
+    # Shift d + nN overlaps [s, s+L) for n in [n_lo, n_hi].
+    n_lo = (s - delays - w.end) // N + 1
+    n_hi = -((w.offset - s + delays - L) // N) - 1
+    path = np.repeat(np.arange(len(delays)), np.maximum(n_hi - n_lo + 1, 0))
+    n = n_lo[path] + np.arange(path.size) - np.searchsorted(path, path)
+    u = to_comb(_rows(w, s, L, delays[path] + n * N, path, params).T, cfg.Q)  # (Q, m, J)
+    blocks = cfg.Q * (u @ u.conj().swapaxes(1, 2))
+    if bd_ts:
+        blocks *= toeplitz(j0(np.pi * bd_ts * cfg.Q * np.arange(u.shape[1])))
+    return KernelMatrix(blocks, KIND_INTERFERENCE, ks.built_from, ks.sign, s, ks.data)
 
 
 def build_ki(w: Waveform, ch, cfg: LatticeConfig, L_out: int,
              window_start: int | None = None, sign: int = 1,
              label: str = "w") -> KernelMatrix:
     """Interference kernel: comb-folded total over all lattice shifts, minus KS."""
-    ks = build_ks(w, ch, L_out, window_start=window_start, sign=sign, label=label)
-    ki = _total_minus_ks(w, ch, cfg, ks)
-    return KernelMatrix(ki, KIND_INTERFERENCE, label, sign, ks.window_start)
-
-
-def _total_minus_ks(w: Waveform, ch, cfg: LatticeConfig, ks: KernelMatrix) -> np.ndarray:
-    if isinstance(ch, (PathList, SeparableChannel)) and abs(ch.Ts - cfg.Ts) > 0:
-        raise ValueError(f"channel Ts={ch.Ts} disagrees with lattice Ts={cfg.Ts}")
-    L, s = ks.L, ks.window_start
-    total = _assemble(w, ch, s, L, ks.sign, N=cfg.N)
-    mask = cfg.Q * _comb_matrix(cfg.Q, L)
-    _, _, _, bd_ts = _path_params(ch, ks.sign)
-    if bd_ts is not None and bd_ts != 0.0:
-        mask = mask * _jakes_matrix(bd_ts, L)
-    return _hermitize(total * mask - ks.data)
+    return _interference(w, ch, cfg, build_ks(w, ch, L_out, window_start, sign, label))
 
 
 def build_kin(ki: KernelMatrix, w_other_norm_sq: float, snr: float) -> KernelMatrix:
@@ -205,10 +223,12 @@ def build_kin(ki: KernelMatrix, w_other_norm_sq: float, snr: float) -> KernelMat
         raise ValueError(f"build_kin expects an interference kernel, got {ki.kind!r}")
     if not snr > 0:
         raise ValueError(f"snr must be positive, got {snr}")
-    data = ki.data
-    if not math.isinf(snr):
-        data = data + (w_other_norm_sq / snr) * np.eye(ki.L)
-    return KernelMatrix(data, KIND_INTERFERENCE_NOISE, ki.built_from, ki.sign, ki.window_start)
+    blocks = ki.data
+    if not math.isinf(snr):  # the identity on the window's samples, not on the padding
+        valid = to_comb(np.ones(ki.L), len(blocks))
+        blocks = blocks + (w_other_norm_sq / snr) * valid[:, :, None] * np.eye(valid.shape[1])
+    return KernelMatrix(blocks, KIND_INTERFERENCE_NOISE, ki.built_from, ki.sign,
+                        ki.window_start, ki.factor)
 
 
 def build_ks_kin(w: Waveform, ch, cfg: LatticeConfig, L_out: int, snr: float,
@@ -216,6 +236,4 @@ def build_ks_kin(w: Waveform, ch, cfg: LatticeConfig, L_out: int, snr: float,
                  label: str = "w") -> tuple[KernelMatrix, KernelMatrix]:
     """(KS, KIN) sharing one window — the pair a half-step solver consumes."""
     ks = build_ks(w, ch, L_out, window_start=window_start, sign=sign, label=label)
-    ki = KernelMatrix(_total_minus_ks(w, ch, cfg, ks), KIND_INTERFERENCE, label, sign,
-                      ks.window_start)
-    return ks, build_kin(ki, w.energy, snr)
+    return ks, build_kin(_interference(w, ch, cfg, ks), w.energy, snr)

@@ -1,13 +1,13 @@
 """Ping-pong alternating SINR maximization of the waveform pair.
 
 Each half-step maximizes the generalized Rayleigh quotient
-x^H KS x / x^H KIN x over one prototype with the other held fixed.  The
-maximizer is the top eigenvector of the Hermitian-definite problem
-KS x = m T x with T = KS + KIN, whose value is mu = m / (1 - m); T stays
-positive definite when KIN alone is singular (snr=inf), so an
-interference-free direction simply reaches m = 1, an infinite SIR.  When T
-itself is singular (e.g. the ideal channel at snr=inf) the problem is solved
-on the range of T, which loses nothing: null(T) = null(KS) & null(KIN).
+x^H KS x / x^H KIN x over one prototype with the other held fixed: the top
+eigenpair of KS x = m T x with T = KS + KIN, valued mu = m / (1 - m) (m = 1, an
+infinite SIR, for an interference-free x).  With KS = C C^H (C is L x r, see
+:mod:`pops.kernels`) the nonzero m are those of the r x r matrix C^H T^-1 C,
+whose top eigenvector y gives x = T^-1 C y, T^-1 applied per comb block.  A
+singular T (e.g. the ideal channel at snr=inf) is solved on its range, which
+loses nothing: null(T) = null(KS) & null(KIN).
 
 The ping solves for the receiver on a window selected once by the
 maximum-trace rule and then frozen; the pong reuses the same machinery on the
@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 import scipy.linalg
 
-from .kernels import KernelMatrix, build_ks_kin
+from .kernels import KernelMatrix, build_ks_kin, from_comb, to_comb
 from .lattice import (
     LatticeConfig,
     Waveform,
@@ -38,17 +38,10 @@ from .lattice import (
     save_waveform_csv,
     time_reverse,
 )
+from .sinr import power_ratio
 
-__all__ = [
-    "PopsConfig",
-    "PopsResult",
-    "half_step",
-    "run_pops",
-    "save_pops_result",
-    "load_pops_result",
-]
-
-_EPS = np.finfo(float).eps
+__all__ = ["PopsConfig", "PopsResult", "half_step", "run_pops",
+           "save_pops_result", "load_pops_result"]
 
 
 @dataclass(frozen=True)
@@ -84,23 +77,6 @@ class PopsResult:
         return self.sinr_trajectory[-1][2]
 
 
-def _quotient(ks: KernelMatrix, kin: KernelMatrix, x: np.ndarray) -> float:
-    """x^H KS x / x^H KIN x for unit-norm x.
-
-    Interference below the rounding level of the quadratic form,
-    L * eps * trace(KIN), reads as zero: an infinite SIR.
-    """
-    num = float(np.real(np.vdot(x, ks.data @ x)))
-    den = float(np.real(np.vdot(x, kin.data @ x)))
-    floor = ks.L * _EPS * float(np.real(np.trace(kin.data)))
-    return num / den if den > floor else math.inf
-
-
-def _package(vec: np.ndarray, ks: KernelMatrix, kin: KernelMatrix) -> tuple[Waveform, float]:
-    w = phase_fixed(normalized(Waveform(vec, offset=ks.window_start)))
-    return w, _quotient(ks, kin, w.samples)
-
-
 def half_step(ks: KernelMatrix, kin: KernelMatrix,
               notes: list[str] | None = None) -> tuple[Waveform, float]:
     """Maximizer of x^H KS x / x^H KIN x and its value (see the module docstring).
@@ -109,20 +85,20 @@ def half_step(ks: KernelMatrix, kin: KernelMatrix,
     the rank is appended to ``notes`` if a list is passed.
     """
     L = ks.L
-    t = ks.data + kin.data
-    try:
-        _, vecs = scipy.linalg.eigh(ks.data, t, subset_by_index=[L - 1, L - 1])
-        vec = vecs[:, 0]
-    except np.linalg.LinAlgError:  # the Cholesky factorization of a singular T
-        lam, U = np.linalg.eigh(t)
-        keep = lam > L * _EPS * lam[-1]
-        white = U[:, keep] / np.sqrt(lam[keep])
-        _, vecs = np.linalg.eigh(white.conj().T @ ks.data @ white)
-        vec = white @ vecs[:, -1]
-        if notes is not None:
-            notes.append(f"KS + KIN singular (rank {int(keep.sum())} of {L}); "
-                         "solved on its range")
-    return _package(vec, ks, kin)
+    lam, U = np.linalg.eigh(kin.data)  # the comb blocks of T = KS + KIN
+    keep = lam > L * np.finfo(float).eps * lam.max(initial=0.0)
+    scale = np.where(keep, lam, np.inf) ** -0.5  # T^(-1/2) on the range of T, 0 off it
+    # W = T^(-1/2) C per block: W^H W = C^H T^-1 C, whose top eigenvector is y.
+    W = scale[..., None] * (U.conj().swapaxes(1, 2) @ to_comb(ks.data, len(lam)))
+    flat = W.reshape(-1, W.shape[-1])
+    _, Y = scipy.linalg.eigh(flat.conj().T @ flat, subset_by_index=[flat.shape[1] - 1] * 2)
+    vec = from_comb((U @ (scale * (W @ Y[:, 0]))[..., None])[..., 0], L)  # x = T^-1 C y
+    if not vec.any():  # KS = 0 on the window: every x has value 0
+        vec = np.eye(1, L, dtype=complex)[0]
+    if keep.sum() < L and notes is not None:
+        notes.append(f"KS + KIN singular (rank {int(keep.sum())} of {L}); solved on its range")
+    w = phase_fixed(normalized(Waveform(vec, offset=ks.window_start)))
+    return w, power_ratio(ks.quad(w), kin.quad(w))
 
 
 # One-entry solver table: the benchmark's tracer finds the half-step here.

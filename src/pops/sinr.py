@@ -18,14 +18,12 @@ from .channel import PathList, SeparableChannel
 from .kernels import build_ks_kin
 from .lattice import LatticeConfig, Waveform, inner, lattice_atom, time_reverse
 
-__all__ = [
-    "SinrReport",
-    "sinr",
-    "sinr_role_swapped",
-    "sinr_time_reversed",
-    "sinr_conventional",
-    "noise_correlation",
-]
+__all__ = ["SinrReport", "sinr", "sinr_role_swapped", "sinr_time_reversed",
+           "sinr_conventional", "noise_correlation", "power_ratio"]
+
+# Interference is a difference of quadratic forms (x^H T x - ps): it leaves
+# rounding dust of either sign and resolves no SIR beyond 1e12 (120 dB).
+_ZERO_INTERFERENCE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -44,28 +42,39 @@ class SinrReport:
             raise ValueError("powers must be nonnegative")
 
 
+def power_ratio(ps: float, pi: float) -> float:
+    """ps / pi under the zero-interference rule of the SINR engine, the
+    optimizer and the bound: pi <= 1e-12 ps is none, an infinite ratio, or 0
+    with no useful power either (the snr -> inf limit of the SINR)."""
+    if pi <= _ZERO_INTERFERENCE_RTOL * ps:
+        return math.inf if ps > 0 else 0.0
+    return max(ps, 0.0) / pi
+
+
 def _report(ps: float, pi: float, snr: float) -> SinrReport:
     if not snr > 0:
         raise ValueError(f"snr must be positive, got {snr}")
-    # Quadratic forms of PSD kernels; clip the ~1e-19 negative rounding dust
-    # that interference-free configurations produce.
     ps = max(float(ps), 0.0)
-    pi = max(float(pi), 0.0)
+    pi = float(pi) if pi > _ZERO_INTERFERENCE_RTOL * ps else 0.0
     pn = 0.0 if math.isinf(snr) else 1.0 / snr
-    denom = pi + pn
-    value = ps / denom if denom > 0 else math.inf
-    sir = ps / pi if pi > 0 else math.inf
-    return SinrReport(ps=ps, pi=pi, pn=pn, sinr=value, sir=sir, snr=snr)
+    return SinrReport(ps=ps, pi=pi, pn=pn, sinr=power_ratio(ps, pi + pn),
+                      sir=power_ratio(ps, pi), snr=snr)
+
+
+def _received(w: Waveform, x: Waveform, ch, cfg: LatticeConfig, snr: float,
+              sign: int) -> SinrReport:
+    """Report for x received against the sign-oriented kernels of w."""
+    if w.energy == 0 or x.energy == 0:
+        raise ValueError("waveforms must have nonzero energy")
+    # At snr=inf the KIN of the pair is the bare KI; noise is added in _report.
+    ks, ki = build_ks_kin(w, ch, cfg, len(x), math.inf, window_start=x.offset, sign=sign)
+    scale = w.energy * x.energy
+    return _report(ks.quad(x) / scale, ki.quad(x) / scale, snr)
 
 
 def sinr(tx: Waveform, rx: Waveform, ch, cfg: LatticeConfig, snr: float) -> SinrReport:
     """SINR of the pair (tx, rx): rx^H KS rx / rx^H (KI + ||tx||^2/snr I) rx."""
-    if tx.energy == 0 or rx.energy == 0:
-        raise ValueError("waveforms must have nonzero energy")
-    # At snr=inf the KIN of the pair is the bare KI; noise is added in _report.
-    ks, ki = build_ks_kin(tx, ch, cfg, len(rx), math.inf, window_start=rx.offset)
-    scale = tx.energy * rx.energy
-    return _report(ks.quad(rx) / scale, ki.quad(rx) / scale, snr)
+    return _received(tx, rx, ch, cfg, snr, 1)
 
 
 def sinr_role_swapped(tx: Waveform, rx: Waveform, ch, cfg: LatticeConfig,
@@ -75,11 +84,7 @@ def sinr_role_swapped(tx: Waveform, rx: Waveform, ch, cfg: LatticeConfig,
     tx acts as the receiver against the S(-p,-nu)-oriented kernels of rx;
     equals sinr(tx, rx, ...) identically.
     """
-    if tx.energy == 0 or rx.energy == 0:
-        raise ValueError("waveforms must have nonzero energy")
-    ks, ki = build_ks_kin(rx, ch, cfg, len(tx), math.inf, window_start=tx.offset, sign=-1)
-    scale = tx.energy * rx.energy
-    return _report(ks.quad(tx) / scale, ki.quad(tx) / scale, snr)
+    return _received(rx, tx, ch, cfg, snr, -1)
 
 
 def sinr_time_reversed(tx: Waveform, rx: Waveform, ch, cfg: LatticeConfig,

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import toeplitz
+from scipy.special import j0
 
-from pops import KernelMatrix, LatticeConfig, PathList, Waveform, normalized
+from pops import KernelMatrix, LatticeConfig, PathList, Waveform, normalized, power_ratio
+from pops.kernels import _path_params, best_window_start, to_comb
 
 
 def random_pathlist(rng, max_delay, k=3, complex_doppler=True, nu_scale=0.01):
@@ -30,15 +33,113 @@ def small_config(n=10, q=8, dphi=1, dpsi=1):
     return LatticeConfig(N=n, Q=q, Dphi=dphi, Dpsi=dpsi)
 
 
-def random_kernel_pair(rng, L, ridge=0.1):
-    """Random PSD useful kernel and PD interference-plus-noise kernel."""
-    G = rng.standard_normal((L, L)) + 1j * rng.standard_normal((L, L))
-    H = rng.standard_normal((L, L)) + 1j * rng.standard_normal((L, L))
-    A = (G @ G.conj().T) / L
-    B = (H @ H.conj().T) / L + ridge * np.eye(L)
-    ks = KernelMatrix(A, "useful", "synthetic", 1, 0)
-    kin = KernelMatrix(B, "interference-plus-noise", "synthetic", 1, 0)
-    return ks, kin
+def random_kernel_pair(rng, L, ridge=0.1, q=None, r=None):
+    """Random structured pair: KS = C C^H from a random C (L x r) and KIN on
+    random positive definite comb blocks P (q of them), T = P + ||C||^2 I + ridge I,
+    so that KIN = T - C C^H is at least P + ridge I."""
+    q = int(rng.integers(1, L + 1)) if q is None else q
+    r = int(rng.integers(1, L + 1)) if r is None else r
+    m = -(-L // q)
+    C = (rng.standard_normal((L, r)) + 1j * rng.standard_normal((L, r))) / math.sqrt(L)
+    H = to_comb(rng.standard_normal((L, m)) + 1j * rng.standard_normal((L, m)), q)
+    valid = to_comb(np.ones(L), q)
+    shift = np.linalg.norm(C, 2) ** 2 + ridge
+    blocks = H @ H.conj().swapaxes(1, 2) / m + shift * valid[:, :, None] * np.eye(m)
+    blocks *= valid[:, :, None] * valid[:, None, :]
+    return structured_pair(C, blocks)
+
+
+def structured_pair(C, blocks):
+    """(KS, KIN) kernels of KS = C C^H and T = KS + KIN given by its comb blocks."""
+    ks = KernelMatrix(C, "useful", "synthetic", 1, 0)
+    return ks, KernelMatrix(blocks, "interference-plus-noise", "synthetic", 1, 0, C)
+
+
+def expand(kernel):
+    """The dense L x L matrix a structured kernel stands for."""
+    C = kernel.data if kernel.factor is None else kernel.factor
+    ks = C @ C.conj().T
+    if kernel.factor is None:
+        return ks
+    p = np.arange(kernel.L)
+    c, a = p % len(kernel.data), p // len(kernel.data)
+    same = c[:, None] == c[None, :]
+    return np.where(same, kernel.data[c[:, None], a[:, None], a[None, :]], 0.0) - ks
+
+
+def dense_half_step(ks, kin):
+    """Value of the half-step solved densely: eigh(KS, T) on the range of
+    T = KS + KIN, read under the package's zero-interference rule."""
+    lam, U = np.linalg.eigh(ks + kin)
+    keep = lam > len(lam) * np.finfo(float).eps * lam[-1]
+    if not keep.any():  # neither useful nor interference power on the window
+        return 0.0
+    white = U[:, keep] / np.sqrt(lam[keep])
+    x = white @ np.linalg.eigh(white.conj().T @ ks @ white)[1][:, -1]
+    return power_ratio(np.real(np.vdot(x, ks @ x)), np.real(np.vdot(x, kin @ x)))
+
+
+# ---------------------------------------------------------------------------
+# The dense kernel builders the structured ones replaced: the oracle.
+# ---------------------------------------------------------------------------
+
+def _shift_range(w, s, L, d, N):
+    """Lattice shifts n for which w(. - d - nN) overlaps [s, s+L)."""
+    n_lo = (s - d - w.end) // N + 1
+    n_hi = -(-(s - d + L - w.offset) // N) - 1
+    return range(n_lo, n_hi + 1)
+
+
+def _assemble(w, ch, s, L, sign, N):
+    """sum_k pi_k [sum_n v_kn v_kn^H] with per-path Doppler phases folded in.
+
+    N=None restricts to the n=0 term (useful kernel); otherwise n runs over
+    every lattice shift with support overlap.  For separable channels the
+    (real) Jakes autocorrelation is applied by the caller.
+    """
+    delays, nutilde, powers, _ = _path_params(ch, sign)
+    idx = np.arange(L)
+    cols = []
+    for k in range(len(powers)):
+        d = int(delays[k])
+        shifts = (0,) if N is None else _shift_range(w, s, L, d, N)
+        phase = None if nutilde is None else np.exp(2j * np.pi * nutilde[k] * idx)
+        for n in shifts:
+            v = w.dense(s - d - n * (N or 0), L)
+            cols.append(math.sqrt(powers[k]) * (v if phase is None else v * phase))
+    if not cols:
+        return np.zeros((L, L), dtype=np.complex128)
+    G = np.column_stack(cols)
+    return G @ G.conj().T
+
+
+def _jakes_matrix(bd_ts, L):
+    return toeplitz(j0(np.pi * bd_ts * np.arange(L)))
+
+
+def _comb_matrix(Q, L):
+    return toeplitz((np.arange(L) % Q == 0).astype(float))
+
+
+def dense_ks(w, ch, L, window_start=None, sign=1):
+    """KS as an L x L matrix, J0 applied exactly for a separable channel."""
+    s = best_window_start(w, ch, L, sign) if window_start is None else window_start
+    M = _assemble(w, ch, s, L, sign, None)
+    bd_ts = _path_params(ch, sign)[3]
+    if bd_ts:
+        M = M * _jakes_matrix(bd_ts, L)
+    return 0.5 * (M + M.conj().T)
+
+
+def dense_ki(w, ch, cfg, L, window_start=None, sign=1):
+    """KI as an L x L matrix: the comb-masked total over lattice shifts, minus KS."""
+    s = best_window_start(w, ch, L, sign) if window_start is None else window_start
+    mask = cfg.Q * _comb_matrix(cfg.Q, L)
+    bd_ts = _path_params(ch, sign)[3]
+    if bd_ts:
+        mask = mask * _jakes_matrix(bd_ts, L)
+    M = _assemble(w, ch, s, L, sign, cfg.N) * mask - dense_ks(w, ch, L, s, sign)
+    return 0.5 * (M + M.conj().T)
 
 
 def dense_kronecker_forms(cfg, ch, phi_offset, phi_length, psi_offset, psi_length):
@@ -81,6 +182,8 @@ def dense_upper_bound(a, b, snr):
     """Top generalized eigenvalue of (A, B + I/snr) on range(A + B), dense."""
     eigs, vecs = scipy.linalg.eigh(a + b)
     basis = vecs[:, eigs > 1e-12 * max(eigs[-1], 0.0)]
+    if basis.shape[1] == 0:  # no pairing carries power: the bound is 0, as upper_bound reads it
+        return 0.0
     a_sub = basis.conj().T @ a @ basis
     b_sub = basis.conj().T @ b @ basis
     if math.isfinite(snr):

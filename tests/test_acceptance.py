@@ -11,7 +11,7 @@ import time
 import numpy as np
 import scipy.linalg
 
-from helpers import random_kernel_pair, random_pathlist, random_waveform
+from helpers import dense_ki, dense_ks, expand, random_kernel_pair, random_pathlist, random_waveform
 from pops import (
     LatticeConfig,
     McConfig,
@@ -104,7 +104,9 @@ def test_criterion_02_interference_free_baseline():
 
 
 def test_criterion_03_solver_agreement():
-    """The half-step lands on the optimal SINR of the dense eigensolver."""
+    """The half-step lands on the optimal SINR of the dense eigensolver on the
+    expansion of random structured pairs (a random KS factor and random positive
+    definite comb blocks) and of physical pairs."""
     t0 = time.monotonic()
     rng = np.random.default_rng(3003)
     worst = 0.0
@@ -118,7 +120,7 @@ def test_criterion_03_solver_agreement():
         else:
             ks, kin = random_kernel_pair(rng, int(rng.integers(2, 65)),
                                          ridge=float(rng.uniform(0.05, 0.5)))
-        want = scipy.linalg.eigh(ks.data, kin.data, eigvals_only=True,
+        want = scipy.linalg.eigh(expand(ks), expand(kin), eigvals_only=True,
                                  subset_by_index=[ks.L - 1, ks.L - 1])[0]
         worst = max(worst, abs(half_step(ks, kin)[1] - want) / want)
     elapsed = time.monotonic() - t0
@@ -147,9 +149,11 @@ def test_criterion_04_monotone_ping_pong():
 
 
 def test_criterion_05_duality_identities():
-    """Role-swap quadratic forms and the time-reversal SINR identity."""
+    """Role-swap quadratic forms and the time-reversal SINR identity; the
+    structured kernels of both orientations expand to the dense oracle."""
     rng = np.random.default_rng(5005)
-    worst_quad = 0.0
+    worst_quad = worst_dense = 0.0
+    cfg = LatticeConfig(N=10, Q=8)
     for _ in range(10):
         ch = random_pathlist(rng, max_delay=4, k=3, nu_scale=0.05)
         phi = random_waveform(rng, 12, offset=-4)
@@ -157,8 +161,14 @@ def test_criterion_05_duality_identities():
         fwd = build_ks(phi, ch, len(psi_w), window_start=psi_w.offset).quad(psi_w)
         rev = build_ks(psi_w, ch, len(phi), window_start=phi.offset, sign=-1).quad(phi)
         worst_quad = max(worst_quad, abs(fwd - rev) / abs(fwd))
+        for w, other, sign in ((phi, psi_w, 1), (psi_w, phi, -1)):
+            ks, ki = build_ks_kin(w, ch, cfg, len(other), math.inf,
+                                  window_start=other.offset, sign=sign)
+            for got, want in ((ks, dense_ks(w, ch, len(other), other.offset, sign)),
+                              (ki, dense_ki(w, ch, cfg, len(other), other.offset, sign))):
+                worst_dense = max(worst_dense,
+                                  float(np.abs(expand(got) - want).max() / np.abs(want).max()))
     worst_rev = 0.0
-    cfg = LatticeConfig(N=10, Q=8)
     for _ in range(10):
         ch = random_pathlist(rng, max_delay=3, k=2, nu_scale=0.02)
         tx = random_waveform(rng, cfg.L_phi, offset=-(cfg.L_phi // 2))
@@ -166,9 +176,10 @@ def test_criterion_05_duality_identities():
         a = sinr(tx, rx, ch, cfg, 10.0).sinr
         b = sinr_time_reversed(tx, rx, ch, cfg, 10.0).sinr
         worst_rev = max(worst_rev, abs(a - b) / a)
-    ok = worst_quad <= 1e-10 and worst_rev <= 1e-10
+    ok = worst_quad <= 1e-10 and worst_rev <= 1e-10 and worst_dense <= 1e-10
     line = _report(5, ok, f"10+10 instances, quad-form rel err {worst_quad:.2e}, "
-                          f"time-reversal rel err {worst_rev:.2e} (tol 1e-10)")
+                          f"time-reversal rel err {worst_rev:.2e}, "
+                          f"structured vs dense kernels {worst_dense:.2e} (tol 1e-10)")
     assert ok, line
 
 

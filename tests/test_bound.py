@@ -20,6 +20,8 @@ from pops import (
     SingularInterferenceError,
     build_kronecker_system,
     kronecker_quotient,
+    make_conventional_rx,
+    make_conventional_tx,
     make_hermite_init,
     run_pops,
     sinr,
@@ -71,6 +73,23 @@ class TestQuotientIdentity:
             got = kronecker_quotient(_system_for(cfg, ch, tx, rx), tx, rx)
             want = sinr(tx, rx, ch, cfg, math.inf).sir
             assert got == pytest.approx(want, rel=1e-10), trial
+
+    def test_zero_interference_rule_is_shared(self):
+        # A pair that no pairing reaches carries neither useful nor interference
+        # power: both sides read 0/0 as 0.  Interference-free useful power reads inf.
+        cfg = LatticeConfig(N=11, Q=4)
+        ch = PathList.from_paths([(5, 0.0, 1.0)])
+        rng = np.random.default_rng(105)
+        tx = random_waveform(rng, 6, offset=0)
+        rx = random_waveform(rng, 5, offset=11)
+        report = sinr(tx, rx, ch, cfg, math.inf)
+        assert report.ps == report.pi == 0.0 and report.sir == report.sinr == 0.0
+        assert kronecker_quotient(_system_for(cfg, ch, tx, rx), tx, rx) == 0.0
+        cfg = LatticeConfig(N=20, Q=16)
+        tx, rx = make_conventional_tx(cfg), make_conventional_rx(cfg)
+        ideal = PathList.ideal()
+        assert sinr(tx, rx, ideal, cfg, math.inf).sir == math.inf
+        assert kronecker_quotient(_system_for(cfg, ideal, tx, rx), tx, rx) == math.inf
 
     def test_quotient_scale_invariant(self):
         rng = np.random.default_rng(102)

@@ -1,0 +1,142 @@
+"""Property tests of the structured kernels on drawn lattices, windows and channels.
+
+The structured KS factor and comb blocks of T must expand to the dense
+kernels they replaced (``tests/helpers.py``), the half-step must land on the
+dense eigensolver's value, and the SINR must keep its role-swap and
+time-reversal identities.
+"""
+
+import math
+from datetime import timedelta
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.special import j0
+
+from helpers import dense_half_step, dense_ki, dense_ks, expand, random_waveform
+from pops import (
+    LatticeConfig,
+    PathList,
+    SeparableChannel,
+    build_ks_kin,
+    half_step,
+    sinr,
+    sinr_role_swapped,
+    sinr_time_reversed,
+)
+from pops.kernels import jakes_nodes
+
+IDEAL = PathList.ideal()
+PROPERTY = settings(max_examples=30, deadline=timedelta(seconds=5), derandomize=True,
+                    database=None)
+
+
+@st.composite
+def channels(draw, n):
+    """A PathList, a SeparableChannel or the ideal channel.  Bd*Ts reaches 0.9,
+    so Bd*Ts*L reaches the node rule's limit (about 50, past which the rounding
+    of the node phases alone nears 1e-14)."""
+    kind = draw(st.sampled_from(["paths", "separable", "ideal"]))
+    if kind == "ideal":
+        return IDEAL
+    if kind == "separable":
+        return SeparableChannel.with_uniform_delays(
+            K=draw(st.integers(1, 4)), b=draw(st.floats(0.2, 0.8)),
+            max_delay=draw(st.integers(0, 2 * n)), Bd=draw(st.floats(0.0, 0.9)))
+    paths = draw(st.lists(
+        st.tuples(st.integers(0, 2 * n), st.floats(-0.05, 0.05), st.floats(0.1, 1.0)),
+        min_size=1, max_size=4, unique_by=lambda p: (p[0], p[1]),
+    ))
+    total = sum(p[2] for p in paths)
+    return PathList.from_paths([(d, nu, w / total) for d, nu, w in paths])
+
+
+@st.composite
+def instances(draw):
+    """Lattice, channel, a waveform, a window (length, start or None, orientation) and snr."""
+    n = draw(st.integers(4, 16))
+    cfg = LatticeConfig(N=n, Q=draw(st.integers(2, n)))
+    ch = draw(channels(n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = random_waveform(rng, draw(st.integers(1, 3 * n)), offset=draw(st.integers(-n, n)))
+    length = draw(st.integers(1, 4 * n))
+    start = draw(st.one_of(st.none(), st.integers(-2 * n, 2 * n)))
+    sign = draw(st.sampled_from([1, -1]))
+    snr = draw(st.one_of(st.just(math.inf), st.floats(0.5, 1000.0)))
+    return cfg, ch, w, length, start, sign, snr
+
+
+@PROPERTY
+@given(instances())
+def test_structured_kernels_expand_to_dense(inst):
+    cfg, ch, w, length, start, sign, snr = inst
+    ks, kin = build_ks_kin(w, ch, cfg, length, snr, window_start=start, sign=sign)
+    s = ks.window_start
+    assert kin.window_start == s and ks.L == kin.L == length
+    want_ks = dense_ks(w, ch, length, s, sign)
+    noise = 0.0 if math.isinf(snr) else w.energy / snr
+    want_kin = dense_ki(w, ch, cfg, length, s, sign) + noise * np.eye(length)
+    scale = max(np.abs(want_ks).max(), np.abs(want_kin).max())
+    np.testing.assert_allclose(expand(ks), want_ks, rtol=0, atol=1e-10 * scale)
+    np.testing.assert_allclose(expand(kin), want_kin, rtol=0, atol=1e-10 * scale)
+
+
+@PROPERTY
+@given(instances())
+def test_half_step_equals_dense_eigensolve(inst):
+    cfg, ch, w, length, start, sign, snr = inst
+    # A finite snr keeps T definite; at snr=inf the ideal channel's T is
+    # singular and the solve runs on its range, where interference vanishes.
+    assume(math.isfinite(snr) or ch is IDEAL)
+    ks, kin = build_ks_kin(w, ch, cfg, length, snr, window_start=start, sign=sign)
+    _, value = half_step(ks, kin)
+    want = dense_half_step(expand(ks), expand(kin))
+    assert value == want or value == pytest.approx(want, rel=1e-10)
+
+
+@st.composite
+def pairs(draw):
+    """Lattice, channel and a transmit/receive pair of any lengths and offsets."""
+    n = draw(st.integers(4, 16))
+    cfg = LatticeConfig(N=n, Q=draw(st.integers(2, n)))
+    ch = draw(channels(n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tx = random_waveform(rng, draw(st.integers(1, 3 * n)), offset=draw(st.integers(-n, n)))
+    rx = random_waveform(rng, draw(st.integers(1, 3 * n)), offset=draw(st.integers(-n, n)))
+    return cfg, ch, tx, rx, draw(st.one_of(st.just(math.inf), st.floats(0.5, 1000.0)))
+
+
+def _same_report(a, b):
+    total = a.ps + a.pi
+    assert b.ps == pytest.approx(a.ps, rel=0, abs=1e-10 * total)
+    assert b.pi == pytest.approx(a.pi, rel=0, abs=1e-10 * total)
+    for x, y in ((a.sinr, b.sinr), (a.sir, b.sir)):
+        assert x == y or x == pytest.approx(y, rel=1e-10)
+
+
+@PROPERTY
+@given(pairs())
+def test_role_swap_identity(pair):
+    cfg, ch, tx, rx, snr = pair
+    _same_report(sinr(tx, rx, ch, cfg, snr), sinr_role_swapped(tx, rx, ch, cfg, snr))
+
+
+@PROPERTY
+@given(pairs())
+def test_time_reversal_identity(pair):
+    cfg, ch, tx, rx, snr = pair
+    _same_report(sinr(tx, rx, ch, cfg, snr), sinr_time_reversed(tx, rx, ch, cfg, snr))
+
+
+@pytest.mark.parametrize("L", [2, 16, 160, 768])
+def test_node_rule_reproduces_j0(L):
+    lags = np.arange(L)
+    for product in np.linspace(0.0, 50.0, 201):  # Bd * Ts * L up to the rule's limit
+        bd_ts = product / L
+        if bd_ts >= 1.0:
+            continue
+        theta = jakes_nodes(bd_ts, L)
+        got = np.exp(1j * np.outer(theta, lags)).mean(axis=0)
+        assert np.abs(got - j0(np.pi * bd_ts * lags)).max() <= 1e-14, (L, product, theta.size)

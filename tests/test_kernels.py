@@ -1,4 +1,5 @@
-"""Kernel builders checked against brute-force sums over paths, shifts, subcarriers."""
+"""Structured kernel builders checked against brute-force sums over paths, shifts,
+subcarriers, and against the dense builders they replaced."""
 
 import math
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import j0
 
-from helpers import random_pathlist, random_waveform, small_config
+from helpers import dense_ki, dense_ks, expand, random_pathlist, random_waveform, small_config
 from pops import (
     KernelMatrix,
     LatticeConfig,
@@ -86,7 +87,8 @@ class TestUsefulKernelOracle:
             w = random_waveform(rng, rng.integers(6, 15), offset=int(rng.integers(-4, 2)))
             s = int(rng.integers(-3, 4))
             ks = build_ks(w, ch, cfg.Q, window_start=s)
-            assert rel_err(ks.data, oracle_ks(w, ch, s, cfg.Q)) < 1e-13, trial
+            assert rel_err(expand(ks), oracle_ks(w, ch, s, cfg.Q)) < 1e-13, trial
+            assert rel_err(expand(ks), dense_ks(w, ch, cfg.Q, s)) < 1e-13, trial
 
     def test_separable_channel(self):
         rng = np.random.default_rng(12)
@@ -94,7 +96,17 @@ class TestUsefulKernelOracle:
         for trial in range(4):
             w = random_waveform(rng, 12, offset=-3)
             ks = build_ks(w, ch, 10, window_start=-2)
-            assert rel_err(ks.data, oracle_ks(w, ch, -2, 10)) < 1e-13, trial
+            assert rel_err(expand(ks), oracle_ks(w, ch, -2, 10)) < 1e-13, trial
+            assert rel_err(expand(ks), dense_ks(w, ch, 10, -2)) < 1e-13, trial
+
+    def test_wide_factor_is_compressed(self):
+        # Bd*Ts = 0.9 needs 29 Doppler nodes per tap: K G = 87 columns for 10
+        # samples, stored as an exact 10-column factor.
+        ch = SeparableChannel.with_uniform_delays(K=3, b=0.5, max_delay=2, Bd=0.9)
+        w = random_waveform(np.random.default_rng(14), 12, offset=-3)
+        ks = build_ks(w, ch, 10, window_start=-2)
+        assert ks.data.shape == (10, 10)
+        assert rel_err(expand(ks), oracle_ks(w, ch, -2, 10)) < 1e-13
 
     def test_reflected_roles(self):
         # sign=-1 mirrors delays and Dopplers.
@@ -106,7 +118,7 @@ class TestUsefulKernelOracle:
         ]
         w = random_waveform(rng, 9, offset=-8)
         got = build_ks(w, ch, 8, window_start=-6, sign=-1)
-        assert rel_err(got.data, oracle_ks(w, mirrored, -6, 8)) < 1e-13
+        assert rel_err(expand(got), oracle_ks(w, mirrored, -6, 8)) < 1e-13
 
 
 class TestInterferenceKernelOracle:
@@ -121,7 +133,8 @@ class TestInterferenceKernelOracle:
             s = int(rng.integers(-2, 3))
             ki = build_ki(w, ch, cfg, cfg.Q, window_start=s)
             want = oracle_total(w, ch, cfg, s, cfg.Q) - oracle_ks(w, ch, s, cfg.Q)
-            assert rel_err(ki.data, want) < 1e-12, trial
+            assert rel_err(expand(ki), want) < 1e-12, trial
+            assert rel_err(expand(ki), dense_ki(w, ch, cfg, cfg.Q, s)) < 1e-12, trial
 
     def test_separable_channel(self):
         cfg = small_config(n=12, q=8)
@@ -130,7 +143,8 @@ class TestInterferenceKernelOracle:
         w = random_waveform(rng, 12, offset=-2)
         ki = build_ki(w, ch, cfg, cfg.Q, window_start=0)
         want = oracle_total(w, ch, cfg, 0, cfg.Q) - oracle_ks(w, ch, 0, cfg.Q)
-        assert rel_err(ki.data, want) < 1e-12
+        assert rel_err(expand(ki), want) < 1e-12
+        assert rel_err(expand(ki), dense_ki(w, ch, cfg, cfg.Q, 0)) < 1e-12
 
     def test_long_waveform_many_shifts(self):
         # A support spanning several symbol periods exercises the n-sum.
@@ -140,7 +154,8 @@ class TestInterferenceKernelOracle:
         w = random_waveform(rng, 20, offset=-9)
         ki = build_ki(w, ch, cfg, 8, window_start=-4)
         want = oracle_total(w, ch, cfg, -4, 8) - oracle_ks(w, ch, -4, 8)
-        assert rel_err(ki.data, want) < 1e-12
+        assert rel_err(expand(ki), want) < 1e-12
+        assert rel_err(expand(ki), dense_ki(w, ch, cfg, 8, -4)) < 1e-12
 
 
 class TestKernelInvariants:
@@ -159,17 +174,19 @@ class TestKernelInvariants:
             ks = build_ks(w, ch, cfg.Q)
             ki = build_ki(w, ch, cfg, cfg.Q)
             for k in (ks, ki):
-                np.testing.assert_allclose(k.data, k.data.conj().T, atol=1e-14)
-                lo = np.linalg.eigvalsh(k.data)[0]
-                assert lo > -1e-12 * max(np.abs(k.data).max(), 1.0), (seed, k.kind)
+                dense = expand(k)
+                np.testing.assert_allclose(dense, dense.conj().T, atol=1e-14)
+                lo = np.linalg.eigvalsh(dense)[0]
+                assert lo > -1e-12 * max(np.abs(dense).max(), 1.0), (seed, k.kind)
 
     def test_kin_adds_scaled_identity(self):
         cfg, ch, w = self._random_instance(7)
         ki = build_ki(w, ch, cfg, cfg.Q)
         kin = build_kin(ki, w_other_norm_sq=2.5, snr=10.0)
-        np.testing.assert_allclose(kin.data, ki.data + 0.25 * np.eye(ki.L), atol=1e-15)
+        np.testing.assert_allclose(expand(kin), expand(ki) + 0.25 * np.eye(ki.L), atol=1e-15)
         kin_inf = build_kin(ki, w_other_norm_sq=2.5, snr=math.inf)
         np.testing.assert_array_equal(kin_inf.data, ki.data)
+        np.testing.assert_array_equal(kin_inf.factor, ki.factor)
 
     def test_build_ks_kin_shares_window(self):
         cfg, ch, w = self._random_instance(8)
@@ -177,6 +194,7 @@ class TestKernelInvariants:
         assert ks.window_start == kin.window_start
         direct = build_kin(build_ki(w, ch, cfg, cfg.Q), w.energy, 10.0)
         np.testing.assert_allclose(kin.data, direct.data, atol=1e-15)
+        np.testing.assert_array_equal(kin.factor, ks.data)
 
     def test_quad_matches_manual_product(self):
         cfg, ch, w = self._random_instance(9)
@@ -184,7 +202,9 @@ class TestKernelInvariants:
         other = random_waveform(rng, 6, offset=1)
         ks = build_ks(w, ch, cfg.Q, window_start=0)
         x = other.dense(0, cfg.Q)
-        assert ks.quad(other) == pytest.approx(np.real(x.conj() @ ks.data @ x))
+        assert ks.quad(other) == pytest.approx(np.real(x.conj() @ expand(ks) @ x))
+        ki = build_ki(w, ch, cfg, cfg.Q, window_start=0)
+        assert ki.quad(other) == pytest.approx(np.real(x.conj() @ expand(ki) @ x))
 
     def test_validation(self):
         cfg, ch, w = self._random_instance(10)
@@ -198,6 +218,10 @@ class TestKernelInvariants:
             build_kin(ki, 1.0, 0.0)
         with pytest.raises(ValueError):
             KernelMatrix(np.eye(3), "useful", "w", sign=2, window_start=0)
+        with pytest.raises(ValueError):  # an interference kernel needs the factor of KS
+            KernelMatrix(ki.data, "interference", "w", sign=1, window_start=0)
+        with pytest.raises(ValueError):  # blocks that do not tile the factor's L
+            KernelMatrix(ki.data[:4], "interference", "w", 1, 0, ks.data)
         bad_ts = SeparableChannel.with_uniform_delays(K=2, b=0.5, max_delay=2, Bd=0.0, Ts=2.0)
         with pytest.raises(ValueError):
             build_ki(random_waveform(np.random.default_rng(0), 8), bad_ts, cfg, cfg.Q)
@@ -214,7 +238,7 @@ class TestBestWindow:
             L = 8
             s_best = best_window_start(w, ch, L)
             traces = {
-                s: float(np.trace(build_ks(w, ch, L, window_start=s).data).real)
+                s: float(np.trace(expand(build_ks(w, ch, L, window_start=s))).real)
                 for s in range(w.offset - L, w.offset + len(w) + 10)
             }
             assert traces[s_best] == pytest.approx(max(traces.values()), rel=1e-12), trial

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import random_kernel_pair, random_waveform
+from helpers import expand, random_kernel_pair, random_waveform, structured_pair
 from pops import (
-    KernelMatrix,
     LatticeConfig,
     PathList,
     PopsConfig,
@@ -24,7 +23,8 @@ from pops.kernels import build_ks_kin
 
 
 class TestHalfStepSolvers:
-    """The dominant generalized eigenpair, against the dense eigensolver."""
+    """The dominant generalized eigenpair, against the dense eigensolver on the
+    expansion of random structured pairs."""
 
     def test_agree_with_dense_reference(self):
         rng = np.random.default_rng(81)
@@ -32,7 +32,7 @@ class TestHalfStepSolvers:
             L = int(rng.integers(2, 65))
             ks, kin = random_kernel_pair(rng, L)
             want = scipy.linalg.eigh(
-                ks.data, kin.data, eigvals_only=True, subset_by_index=[L - 1, L - 1]
+                expand(ks), expand(kin), eigvals_only=True, subset_by_index=[L - 1, L - 1]
             )[0]
             _, value = half_step(ks, kin)
             assert value == pytest.approx(want, rel=1e-10), trial
@@ -42,31 +42,36 @@ class TestHalfStepSolvers:
         ks, kin = random_kernel_pair(rng, 24)
         w, value = half_step(ks, kin)
         x = w.samples
-        quotient = np.real(x.conj() @ ks.data @ x) / np.real(x.conj() @ kin.data @ x)
+        quotient = np.real(x.conj() @ expand(ks) @ x) / np.real(x.conj() @ expand(kin) @ x)
         assert quotient == pytest.approx(value, rel=1e-12)
         assert w.energy == pytest.approx(1.0)
         assert w.offset == ks.window_start
 
     def test_value_is_maximal_over_random_vectors(self):
         rng = np.random.default_rng(83)
-        ks, kin = random_kernel_pair(rng, 16)
+        ks, kin = random_kernel_pair(rng, 16, q=4)
+        A, B = expand(ks), expand(kin)
         _, value = half_step(ks, kin)
         for _ in range(50):
             x = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-            q = np.real(x.conj() @ ks.data @ x) / np.real(x.conj() @ kin.data @ x)
+            q = np.real(x.conj() @ A @ x) / np.real(x.conj() @ B @ x)
             assert q <= value * (1 + 1e-12)
 
     def test_singular_total_kernel_is_solved_on_its_range(self):
         # KS and KIN share a 5-dimensional null space, so KS + KIN is
         # singular; the value is that of the problem restricted to the range.
+        # Both comb blocks (Q=2) of T lose part of their range: the reduced
+        # pair's even and odd samples land on 5 of the 7 even and 4 of the 7
+        # odd samples.
         rng = np.random.default_rng(85)
-        L, r = 14, 9
-        V, _ = np.linalg.qr(rng.standard_normal((L, r)) + 1j * rng.standard_normal((L, r)))
-        ks_r, kin_r = random_kernel_pair(rng, r)
-        ks = KernelMatrix(V @ ks_r.data @ V.conj().T, "useful", "synthetic", 1, 0)
-        kin = KernelMatrix(V @ kin_r.data @ V.conj().T, "interference-plus-noise",
-                           "synthetic", 1, 0)
-        want = scipy.linalg.eigh(ks_r.data, kin_r.data, eigvals_only=True,
+        L, r, q = 14, 9, 2
+        ks_r, kin_r = random_kernel_pair(rng, r, q=q)
+        V = np.zeros((L, r))
+        V[[2, 1, 4, 5, 8, 7, 10, 11, 12], np.arange(r)] = 1.0
+        t = V @ (expand(ks_r) + expand(kin_r)) @ V.T
+        assert not t[0::2, 1::2].any()  # T lives on its comb
+        ks, kin = structured_pair(V @ ks_r.data, np.stack([t[c::q, c::q] for c in range(q)]))
+        want = scipy.linalg.eigh(expand(ks_r), expand(kin_r), eigvals_only=True,
                                  subset_by_index=[r - 1, r - 1])[0]
         notes = []
         _, value = half_step(ks, kin, notes)
@@ -81,8 +86,7 @@ class TestHalfStepSolvers:
         A = (G @ G.conj().T) / 12
         H = rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))
         B = H @ H.conj().T  # rank 3
-        ks = KernelMatrix(A, "useful", "synthetic", 1, 0)
-        kin = KernelMatrix(B, "interference-plus-noise", "synthetic", 1, 0)
+        ks, kin = structured_pair(G / np.sqrt(12), (A + B)[None])
         notes = []
         w, value = half_step(ks, kin, notes)
         x = w.samples
