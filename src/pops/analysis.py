@@ -1,9 +1,11 @@
 """Experiment families: PSD/OOB, robustness sweeps, initialization studies.
 
 Every experiment returns a :class:`SweepResult`: an axis, one or more named
-series over that axis, and a metadata snapshot sufficient to re-run the sweep
-(``rerun_from_metadata``).  Serialization is CSV (one row per axis value, full
-double precision) plus a JSON sidecar holding the metadata; the CSV bytes are
+series over that axis, and a metadata snapshot sufficient to re-run the sweep.
+The metadata is the sweep's inputs passed through :func:`pops.codec.encode`;
+``rerun_from_metadata`` decodes them with :func:`pops.codec.decode` and calls
+the sweep again.  Serialization is CSV (one row per axis value, full double
+precision) plus a JSON sidecar holding the metadata; the CSV bytes are
 deterministic, timestamps live only in the sidecar.
 
 Series store linear power ratios (SINR/SIR), not dB; conversion to dB is
@@ -30,6 +32,7 @@ import numpy as np
 
 from .bound import SingularInterferenceError, build_kronecker_system, upper_bound
 from .channel import PathList, SeparableChannel
+from .codec import Channel, decode, encode
 from .lattice import LatticeConfig, Waveform, make_conventional_rx, make_conventional_tx, modulate, shift
 from .optimizer import PopsConfig, PopsResult, run_pops
 from .sinr import sinr, sinr_conventional
@@ -84,99 +87,6 @@ class SweepResult:
                 )
             fixed[name] = arr
         object.__setattr__(self, "series", fixed)
-
-
-# ---------------------------------------------------------------------------
-# serialization helpers (also used by the CLI)
-
-
-def config_to_dict(cfg: LatticeConfig) -> dict:
-    return {"N": cfg.N, "Q": cfg.Q, "Ts": cfg.Ts, "Dphi": cfg.Dphi, "Dpsi": cfg.Dpsi}
-
-
-def config_from_dict(d: dict) -> LatticeConfig:
-    return LatticeConfig(N=d["N"], Q=d["Q"], Ts=d["Ts"], Dphi=d["Dphi"], Dpsi=d["Dpsi"])
-
-
-def channel_to_dict(ch: PathList | SeparableChannel) -> dict:
-    if isinstance(ch, SeparableChannel):
-        return {
-            "kind": "separable",
-            "K": ch.K,
-            "b": ch.b,
-            "delays": [int(d) for d in ch.delays],
-            "Bd": ch.Bd,
-            "Ts": ch.Ts,
-        }
-    return {
-        "kind": "paths",
-        "delays": [int(d) for d in ch.delays],
-        "dopplers": [float(v) for v in ch.dopplers],
-        "powers": [float(p) for p in ch.powers],
-        "Ts": ch.Ts,
-    }
-
-
-def channel_from_dict(d: dict) -> PathList | SeparableChannel:
-    if d["kind"] == "separable":
-        return SeparableChannel(
-            K=d["K"], b=d["b"], delays=tuple(d["delays"]), Bd=d["Bd"], Ts=d["Ts"]
-        )
-    if d["kind"] == "paths":
-        return PathList(
-            delays=np.array(d["delays"], dtype=np.int64),
-            dopplers=np.array(d["dopplers"], dtype=np.float64),
-            powers=np.array(d["powers"], dtype=np.float64),
-            Ts=d["Ts"],
-        )
-    raise ValueError(f"unknown channel kind {d['kind']!r}")
-
-
-def waveform_to_dict(w: Waveform) -> dict:
-    return {
-        "offset": w.offset,
-        "re": [float(x) for x in w.samples.real],
-        "im": [float(x) for x in w.samples.imag],
-    }
-
-
-def waveform_from_dict(d: dict) -> Waveform:
-    samples = np.asarray(d["re"], dtype=np.float64) + 1j * np.asarray(d["im"], dtype=np.float64)
-    return Waveform(samples=samples, offset=d["offset"])
-
-
-def pops_to_dict(pcfg: PopsConfig) -> dict:
-    d = {
-        "epsilon": pcfg.epsilon,
-        "max_iterations": pcfg.max_iterations,
-        "snr": "inf" if math.isinf(pcfg.snr) else pcfg.snr,
-        "paper_literal_gep": pcfg.paper_literal_gep,
-    }
-    if pcfg.init is not None:
-        d["init"] = waveform_to_dict(pcfg.init)
-    return d
-
-
-def pops_from_dict(d: dict) -> PopsConfig:
-    """Inverse of pops_to_dict; other keys, such as the retired ``approach``
-    of older sidecars, are ignored."""
-    init = waveform_from_dict(d["init"]) if "init" in d else None
-    snr = d["snr"]
-    return PopsConfig(
-        epsilon=d["epsilon"],
-        max_iterations=d["max_iterations"],
-        snr=math.inf if snr == "inf" else float(snr),
-        init=init,
-        paper_literal_gep=d["paper_literal_gep"],
-    )
-
-
-def _snr_token(snr: float) -> float | str:
-    return "inf" if math.isinf(snr) else float(snr)
-
-
-def _snr_value(token) -> float:
-    return math.inf if token == "inf" else float(token)
 
 
 def _map_points(fn, items):
@@ -235,13 +145,13 @@ def psd(
         axis_name="frequency_in_F",
         axis_values=axis,
         series={"psd_db": psd_db},
-        metadata={
+        metadata=encode({
             "sweep": "psd",
-            "waveform": waveform_to_dict(w),
-            "cfg": config_to_dict(cfg),
+            "waveform": w,
+            "cfg": cfg,
             "oversample": oversample,
             "n_subcarriers": n_subcarriers,
-        },
+        }),
     )
 
 
@@ -332,16 +242,16 @@ def sweep_ft(
         axis_name="ft",
         axis_values=np.array(ft_values),
         series={k: np.array(v) for k, v in series.items()},
-        metadata={
+        metadata=encode({
             "sweep": "ft",
-            "cfg": config_to_dict(cfg),
-            "channel": channel_to_dict(ch),
+            "cfg": cfg,
+            "channel": ch,
             "ft_values": ft_values,
-            "durations": [list(d) for d in durations],
-            "snr": _snr_token(snr),
-            "pops": pops_to_dict(pcfg),
+            "durations": durations,
+            "snr": snr,
+            "pops": pcfg,
             "warnings": warnings,
-        },
+        }),
     )
 
 
@@ -389,23 +299,24 @@ def sweep_doppler_delay(
         axis_name="bd_over_f",
         axis_values=np.array(grid),
         series={name: np.array([r[name] for r in rows]) for name in names},
-        metadata={
+        metadata=encode({
             "sweep": "doppler-delay",
-            "cfg": config_to_dict(cfg),
+            "cfg": cfg,
             "spread_product": spread_product,
             "grid": grid,
-            "cp_samples": [int(c) for c in cp_samples],
-            "snr": _snr_token(snr),
-            "pops": pops_to_dict(pcfg),
+            "cp_samples": cp_samples,
+            "snr": snr,
+            "pops": pcfg,
             "K": K,
             "b": b,
-        },
+        }),
     )
 
 
 def _sync_sweep(
     kind: str,
-    result: PopsResult,
+    tx: Waveform,
+    rx: Waveform,
     ch: PathList | SeparableChannel,
     cfg: LatticeConfig,
     values,
@@ -421,7 +332,7 @@ def _sync_sweep(
 
     def point(v: float):
         row = {
-            "pops": sinr(result.tx_opt, perturbed(result.rx_opt, cfg.Q, v), ch, cfg, snr).sinr
+            "pops": sinr(tx, perturbed(rx, cfg.Q, v), ch, cfg, snr).sinr
         }
         for cp in cp_baselines:
             cfg_cv = LatticeConfig(N=cfg.Q + cp, Q=cfg.Q, Ts=cfg.Ts)
@@ -438,16 +349,16 @@ def _sync_sweep(
         axis_name=axis_name,
         axis_values=np.array(values),
         series={name: np.array([r[name] for r in rows]) for name in names},
-        metadata={
+        metadata=encode({
             "sweep": kind,
-            "cfg": config_to_dict(cfg),
-            "channel": channel_to_dict(ch),
+            "cfg": cfg,
+            "channel": ch,
             "values": values,
-            "cp_baselines": [int(c) for c in cp_baselines],
-            "snr": _snr_token(snr),
-            "tx_opt": waveform_to_dict(result.tx_opt),
-            "rx_opt": waveform_to_dict(result.rx_opt),
-        },
+            "cp_baselines": cp_baselines,
+            "snr": snr,
+            "tx_opt": tx,
+            "rx_opt": rx,
+        }),
     )
 
 
@@ -464,7 +375,8 @@ def sweep_time_sync(
     Evaluates ``sinr(tx_opt, shift(rx_opt, tau))`` per tau, with conventional
     pairs at N = Q + CP perturbed identically as baselines.
     """
-    return _sync_sweep("time-sync", result, ch, cfg, tau_values, snr, cp_baselines)
+    return _sync_sweep("time-sync", result.tx_opt, result.rx_opt, ch, cfg, tau_values, snr,
+                       cp_baselines)
 
 
 def sweep_freq_sync(
@@ -481,7 +393,8 @@ def sweep_freq_sync(
     the receive prototype (a fractional subcarrier modulation), again without
     reoptimization.
     """
-    return _sync_sweep("freq-sync", result, ch, cfg, dfreq_values, snr, cp_baselines)
+    return _sync_sweep("freq-sync", result.tx_opt, result.rx_opt, ch, cfg, dfreq_values, snr,
+                       cp_baselines)
 
 
 def sweep_mismatch(
@@ -522,16 +435,16 @@ def sweep_mismatch(
         axis_name="spread_product",
         axis_values=np.array(evaluate_over),
         series=series,
-        metadata={
+        metadata=encode({
             "sweep": "mismatch",
-            "cfg": config_to_dict(cfg),
+            "cfg": cfg,
             "optimize_at": optimize_at,
             "evaluate_over": evaluate_over,
-            "snr": _snr_token(snr),
-            "pops": pops_to_dict(pcfg),
+            "snr": snr,
+            "pops": pcfg,
             "K": K,
             "b": b,
-        },
+        }),
     )
 
 
@@ -544,7 +457,8 @@ def initialization_study(
 ) -> SweepResult:
     """Final SINR per named initialization, with bound and baseline.
 
-    ``inits`` is a sequence of (name, Waveform) pairs (at least two).  The
+    ``inits`` is a sequence of (name, Waveform) pairs (at least two, with
+    distinct names: the metadata keys them by name).  The
     ``upper_bound`` and ``conventional`` series are constant.  The bound is
     taken on the channel itself (a separable channel with its closed-form
     Doppler autocorrelation); it is NaN when the SIR bound is infinite (a
@@ -554,6 +468,10 @@ def initialization_study(
     inits = list(inits)
     if len(inits) < 2:
         raise ValueError("need at least two initializations to compare")
+    names = [name for name, _ in inits]
+    for name in names:
+        if names.count(name) > 1:
+            raise ValueError(f"duplicate initialization name {name!r}")
     pcfg = _resolve_pops(pops, snr)
     warnings: list[str] = []
 
@@ -577,15 +495,15 @@ def initialization_study(
             "upper_bound": np.full(n, bound_value),
             "conventional": np.full(n, conventional),
         },
-        metadata={
+        metadata=encode({
             "sweep": "init-study",
-            "cfg": config_to_dict(cfg),
-            "channel": channel_to_dict(ch),
-            "snr": _snr_token(snr),
-            "pops": pops_to_dict(pcfg),
-            "inits": {name: waveform_to_dict(w) for name, w in inits},
+            "cfg": cfg,
+            "channel": ch,
+            "snr": snr,
+            "pops": pcfg,
+            "inits": dict(inits),
             "warnings": warnings,
-        },
+        }),
     )
 
 
@@ -639,74 +557,33 @@ def read_sweep_csv(path: str | Path) -> SweepResult:
     )
 
 
+# Sidecar keys that hold an encoded value, and its type.
+_ENCODED = {"cfg": LatticeConfig, "channel": Channel, "snr": float, "pops": PopsConfig,
+            "waveform": Waveform, "tx_opt": Waveform, "rx_opt": Waveform}
+
+
 def rerun_from_metadata(metadata: dict) -> SweepResult:
     """Re-execute a sweep from its serialized metadata snapshot.
 
     The returned result carries the same numbers as the original run; this is
     the package's reproducibility contract for analysis artifacts.
     """
-    kind = metadata["sweep"]
+    m = {k: decode(_ENCODED[k], v) if k in _ENCODED else v for k, v in metadata.items()}
+    kind = m["sweep"]
     if kind == "psd":
-        return psd(
-            waveform_from_dict(metadata["waveform"]),
-            config_from_dict(metadata["cfg"]),
-            oversample=metadata["oversample"],
-            n_subcarriers=metadata["n_subcarriers"],
-        )
+        return psd(m["waveform"], m["cfg"], m["oversample"], m["n_subcarriers"])
     if kind == "ft":
-        return sweep_ft(
-            config_from_dict(metadata["cfg"]),
-            channel_from_dict(metadata["channel"]),
-            metadata["ft_values"],
-            durations=[tuple(d) for d in metadata["durations"]],
-            snr=_snr_value(metadata["snr"]),
-            pops=pops_from_dict(metadata["pops"]),
-        )
+        return sweep_ft(m["cfg"], m["channel"], m["ft_values"], m["durations"], m["snr"], m["pops"])
     if kind == "doppler-delay":
-        return sweep_doppler_delay(
-            config_from_dict(metadata["cfg"]),
-            metadata["spread_product"],
-            metadata["grid"],
-            cp_samples=tuple(metadata["cp_samples"]),
-            snr=_snr_value(metadata["snr"]),
-            pops=pops_from_dict(metadata["pops"]),
-            K=metadata["K"],
-            b=metadata["b"],
-        )
+        return sweep_doppler_delay(m["cfg"], m["spread_product"], m["grid"], m["cp_samples"],
+                                   m["snr"], m["pops"], m["K"], m["b"])
     if kind in ("time-sync", "freq-sync"):
-        stub = PopsResult(
-            tx_opt=waveform_from_dict(metadata["tx_opt"]),
-            rx_opt=waveform_from_dict(metadata["rx_opt"]),
-            sinr_trajectory=(),
-            converged=True,
-            iterations_used=0,
-            warnings=(),
-        )
-        fn = sweep_time_sync if kind == "time-sync" else sweep_freq_sync
-        return fn(
-            stub,
-            channel_from_dict(metadata["channel"]),
-            config_from_dict(metadata["cfg"]),
-            metadata["values"],
-            snr=_snr_value(metadata["snr"]),
-            cp_baselines=tuple(metadata["cp_baselines"]),
-        )
+        return _sync_sweep(kind, m["tx_opt"], m["rx_opt"], m["channel"], m["cfg"], m["values"],
+                           m["snr"], m["cp_baselines"])
     if kind == "mismatch":
-        return sweep_mismatch(
-            config_from_dict(metadata["cfg"]),
-            metadata["optimize_at"],
-            metadata["evaluate_over"],
-            snr=_snr_value(metadata["snr"]),
-            pops=pops_from_dict(metadata["pops"]),
-            K=metadata["K"],
-            b=metadata["b"],
-        )
+        return sweep_mismatch(m["cfg"], m["optimize_at"], m["evaluate_over"], m["snr"],
+                              m["pops"], m["K"], m["b"])
     if kind == "init-study":
-        return initialization_study(
-            config_from_dict(metadata["cfg"]),
-            channel_from_dict(metadata["channel"]),
-            _snr_value(metadata["snr"]),
-            [(name, waveform_from_dict(d)) for name, d in metadata["inits"].items()],
-            pops=pops_from_dict(metadata["pops"]),
-        )
+        inits = [(name, decode(Waveform, w)) for name, w in m["inits"].items()]
+        return initialization_study(m["cfg"], m["channel"], m["snr"], inits, m["pops"])
     raise ValueError(f"unknown sweep kind {kind!r}")

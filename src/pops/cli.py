@@ -34,13 +34,11 @@ from .lattice import (
     load_waveform_csv,
     make_conventional_rx,
     make_conventional_tx,
-    make_gaussian_init,
     make_hermite_init,
-    make_rrc_init,
 )
 from .montecarlo import estimate_sinr
 from .optimizer import half_step, run_pops, save_pops_result
-from .scenario import Scenario, ScenarioError, load_scenario
+from .scenario import INIT_KINDS, Scenario, ScenarioError, load_scenario, make_initializer
 from .sinr import sinr, sinr_conventional, sinr_time_reversed
 from .kernels import build_ks_kin
 
@@ -92,17 +90,7 @@ def _cmd_sinr(sc: Scenario, args) -> str:
     ch = sc.channel()
     tx, rx = sc.sinr_pair(cfg)
     rep = sinr(tx, rx, ch, cfg, sc.snr)
-    _write_json(
-        sc.output_dir / "sinr.json",
-        {
-            "scenario": sc.hash,
-            "ps": rep.ps,
-            "pi": rep.pi,
-            "pn": rep.pn,
-            "sinr": rep.sinr,
-            "sir": rep.sir,
-        },
-    )
+    _write_json(sc.output_dir / "sinr.json", {"scenario": sc.hash, **dataclasses.asdict(rep)})
     return (
         f"scenario={sc.hash} sinr: sinr={_fmt(rep.sinr)} ({_db(rep.sinr)} dB) "
         f"sir={_fmt(rep.sir)} ps={rep.ps:.6g} pi={rep.pi:.6g} pn={rep.pn:.6g}"
@@ -113,17 +101,8 @@ def _cmd_conventional(sc: Scenario, args) -> str:
     cfg = sc.lattice()
     ch = sc.channel()
     rep = sinr_conventional(cfg, ch, sc.snr)
-    _write_json(
-        sc.output_dir / "conventional.json",
-        {
-            "scenario": sc.hash,
-            "ps": rep.ps,
-            "pi": rep.pi,
-            "pn": rep.pn,
-            "sinr": rep.sinr,
-            "sir": rep.sir,
-        },
-    )
+    _write_json(sc.output_dir / "conventional.json",
+                {"scenario": sc.hash, **dataclasses.asdict(rep)})
     return (
         f"scenario={sc.hash} conventional: sinr={_fmt(rep.sinr)} "
         f"({_db(rep.sinr)} dB) sir={_fmt(rep.sir)}"
@@ -195,29 +174,21 @@ def _cmd_psd(sc: Scenario, args) -> str:
 
 
 def _study_inits(sc: Scenario, cfg: LatticeConfig) -> list[tuple[str, Waveform]]:
-    tokens = [t.strip() for t in sc._require("sweep", "inits").split(",")]
-    inits = []
-    for token in tokens:
-        if token == "hermite":
-            inits.append((token, make_hermite_init(cfg, [1.0])))
-        elif token == "gaussian":
-            sigma = math.sqrt(cfg.N * cfg.Q) / (2.0 * math.sqrt(math.pi))
-            inits.append((token, make_gaussian_init(cfg, (cfg.L_phi - 1) / 2.0, sigma)))
-        elif token == "rrc":
-            inits.append((token, make_rrc_init(cfg, rolloff=0.25)))
-        elif token.startswith("noise:"):
-            try:
-                seed = int(token.split(":", 1)[1])
-            except ValueError as exc:
-                raise ScenarioError(f"sweep.inits: bad noise seed in {token!r}") from exc
-            rng = np.random.default_rng(seed)
-            samples = rng.standard_normal(cfg.L_phi) + 1j * rng.standard_normal(cfg.L_phi)
-            inits.append((token, Waveform(samples, offset=-(cfg.L_phi // 2))))
-        else:
+    inits: list[tuple[str, Waveform]] = []
+    for token in (t.strip() for t in sc._require("sweep", "inits").split(",")):
+        kind, colon, seed = token.partition(":")  # noise, and only noise, takes a seed
+        if kind not in INIT_KINDS or (kind == "noise") != bool(colon):
             raise ScenarioError(
                 f"sweep.inits: unknown initializer {token!r} (hermite, gaussian, "
                 "rrc, noise:<seed>)"
             )
+        if token in dict(inits):
+            raise ScenarioError(f"sweep.inits: duplicate initializer {token!r}")
+        try:
+            seed = int(seed) if colon else 0
+        except ValueError as exc:
+            raise ScenarioError(f"sweep.inits: bad noise seed in {token!r}") from exc
+        inits.append((token, make_initializer(cfg, kind, seed=seed)))
     return inits
 
 

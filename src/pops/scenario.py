@@ -36,7 +36,35 @@ from .lattice import (
 from .montecarlo import McConfig
 from .optimizer import PopsConfig
 
-__all__ = ["Scenario", "ScenarioError", "load_scenario", "scenario_from_text"]
+__all__ = ["Scenario", "ScenarioError", "load_scenario", "make_initializer", "scenario_from_text"]
+
+INIT_KINDS = ("hermite", "gaussian", "rrc", "noise")
+
+
+def make_initializer(cfg: LatticeConfig, kind: str, coefficients=(1.0,),
+                     sigma: float | None = None, rolloff: float = 0.25,
+                     period: int | None = None, seed: int = 0) -> Waveform:
+    """Initial transmit pulse of one of the ``INIT_KINDS``.
+
+    ``pops.init`` passes its [pops] keys; a ``sweep.inits`` token keeps these
+    defaults.  hermite combines Hermite-Gaussians with ``coefficients``;
+    gaussian is centered with width ``sigma`` samples (by default
+    sqrt(N Q) / (2 sqrt(pi)), the isotropic spread); rrc takes ``rolloff`` and
+    ``period``; noise draws complex Gaussian samples from ``seed``.
+    """
+    if kind == "hermite":
+        return make_hermite_init(cfg, coefficients)
+    if kind == "gaussian":
+        if sigma is None:
+            sigma = math.sqrt(cfg.N * cfg.Q) / (2.0 * math.sqrt(math.pi))
+        return make_gaussian_init(cfg, mean_sample=(cfg.L_phi - 1) / 2.0, sigma_samples=sigma)
+    if kind == "rrc":
+        return make_rrc_init(cfg, rolloff=rolloff, period_samples=period)
+    if kind == "noise":
+        rng = np.random.default_rng(seed)
+        samples = rng.standard_normal(cfg.L_phi) + 1j * rng.standard_normal(cfg.L_phi)
+        return Waveform(samples, offset=-(cfg.L_phi // 2))
+    raise ValueError(f"unknown initializer {kind!r}; known: {', '.join(INIT_KINDS)}")
 
 
 class ScenarioError(ValueError):
@@ -262,27 +290,16 @@ class Scenario:
     def initializer(self, cfg: LatticeConfig) -> Waveform:
         kind = self._require("pops", "init")
         try:
-            if kind == "hermite":
-                coeffs = self._float_list("pops", "hermite_coefficients")
-                return make_hermite_init(cfg, coeffs)
-            if kind == "gaussian":
-                sigma = self._float("pops", "gaussian_sigma")
-                if sigma is None:
-                    sigma = math.sqrt(cfg.N * cfg.Q) / (2.0 * math.sqrt(math.pi))
-                return make_gaussian_init(
-                    cfg, mean_sample=(cfg.L_phi - 1) / 2.0, sigma_samples=sigma
-                )
-            if kind == "rrc":
-                return make_rrc_init(
+            if kind in INIT_KINDS:
+                return make_initializer(
                     cfg,
+                    kind,
+                    coefficients=self._float_list("pops", "hermite_coefficients"),
+                    sigma=self._float("pops", "gaussian_sigma"),
                     rolloff=self._float("pops", "rrc_rolloff"),
-                    period_samples=self._int("pops", "rrc_period"),
+                    period=self._int("pops", "rrc_period"),
+                    seed=self._int("pops", "init_seed") or 0,
                 )
-            if kind == "noise":
-                seed = self._int("pops", "init_seed")
-                rng = np.random.default_rng(0 if seed is None else seed)
-                samples = rng.standard_normal(cfg.L_phi) + 1j * rng.standard_normal(cfg.L_phi)
-                return Waveform(samples, offset=-(cfg.L_phi // 2))
             if kind == "file":
                 path = self.get("pops", "init_file")
                 if path is None:

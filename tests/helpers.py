@@ -29,6 +29,13 @@ def random_waveform(rng, length, offset=0):
     return normalized(Waveform(z, offset=offset))
 
 
+def noise_init(cfg, seed):
+    """The seeded complex Gaussian initializer, written out as an oracle."""
+    rng = np.random.default_rng(seed)
+    samples = rng.standard_normal(cfg.L_phi) + 1j * rng.standard_normal(cfg.L_phi)
+    return Waveform(samples, offset=-(cfg.L_phi // 2))
+
+
 def small_config(n=10, q=8, dphi=1, dpsi=1):
     return LatticeConfig(N=n, Q=q, Dphi=dphi, Dpsi=dpsi)
 

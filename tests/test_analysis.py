@@ -33,7 +33,7 @@ from pops import (
     sweep_time_sync,
     write_sweep_csv,
 )
-from pops.analysis import pops_from_dict, pops_to_dict
+from pops.codec import decode, encode
 
 
 class TestSweepResult:
@@ -281,6 +281,14 @@ class TestInitializationStudy:
         assert np.all(np.isnan(r.series["upper_bound"]))
         assert any("singular" in w for w in r.metadata["warnings"])
 
+    def test_duplicate_names_rejected(self):
+        # The metadata keys the initializations by name, so a repeated name
+        # would keep only its last waveform and the sweep could not replay.
+        cfg = LatticeConfig(N=10, Q=8)
+        w = make_hermite_init(cfg, [1.0])
+        with pytest.raises(ValueError, match="duplicate initialization name 'a'"):
+            initialization_study(cfg, PathList.ideal(), 10.0, [("a", w), ("b", w), ("a", w)])
+
     def test_needs_two_inits(self):
         cfg = LatticeConfig(N=10, Q=8)
         with pytest.raises(ValueError):
@@ -381,8 +389,8 @@ class TestReplay:
         # Sidecars written before the single half-step solver carry "approach".
         legacy = {"approach": "rayleigh", "epsilon": 1e-8, "max_iterations": 7,
                   "snr": "inf", "paper_literal_gep": False}
-        assert pops_from_dict(legacy) == PopsConfig(epsilon=1e-8, max_iterations=7)
-        assert "approach" not in pops_to_dict(pops_from_dict(legacy))
+        assert decode(PopsConfig, legacy) == PopsConfig(epsilon=1e-8, max_iterations=7)
+        assert "approach" not in encode(decode(PopsConfig, legacy))
 
 
 class TestThreadedMap:

@@ -1,5 +1,7 @@
 """Property tests of the Kronecker relaxation on drawn lattices, channels and windows."""
 
+import cmath
+import dataclasses
 import math
 from datetime import timedelta
 
@@ -9,7 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import dense_kronecker_forms, dense_upper_bound, random_waveform
-from pops import LatticeConfig, PathList, build_kronecker_system, kronecker_quotient, sinr, upper_bound
+from pops import (
+    LatticeConfig,
+    PathList,
+    PopsConfig,
+    Waveform,
+    build_kronecker_system,
+    kronecker_quotient,
+    run_pops,
+    sinr,
+    upper_bound,
+)
 
 PROPERTY = settings(max_examples=30, deadline=timedelta(seconds=5), derandomize=True,
                     database=None)
@@ -62,3 +74,35 @@ def test_bound_equals_dense_oracle(inst, snr):
 def test_bound_dominates_drawn_pair(inst, snr):
     cfg, ch, sys_, tx, rx = inst
     assert upper_bound(sys_, snr) >= sinr(tx, rx, ch, cfg, snr).sinr * (1 - 1e-10)
+
+
+scales = st.builds(lambda r, t: r * cmath.exp(1j * t),
+                   st.floats(1e-3, 1e3), st.floats(0, 2 * math.pi))
+
+
+@PROPERTY
+@given(instances(), st.floats(0.5, 1000.0), scales, scales, st.floats(0.01, 100.0))
+def test_scale_invariance(inst, snr, a, b, s):
+    """Scaling tx by a and rx by b changes no ratio; neither does the time scale
+    Ts -> s Ts with every Doppler divided by s, which the bound sees as well."""
+    cfg, ch, sys_, tx, rx = inst
+    tx_a, rx_b = Waveform(a * tx.samples, tx.offset), Waveform(b * rx.samples, rx.offset)
+    cfg_s = dataclasses.replace(cfg, Ts=s * cfg.Ts)
+    ch_s = PathList(ch.delays, ch.dopplers / s, ch.powers, Ts=s * ch.Ts)
+    sys_s = build_kronecker_system(cfg_s, ch_s, phi_offset=sys_.phi_offset,
+                                   phi_length=sys_.phi_length, psi_offset=sys_.psi_offset,
+                                   psi_length=sys_.psi_length)
+    assert sinr(tx_a, rx_b, ch_s, cfg_s, snr).sinr == pytest.approx(
+        sinr(tx, rx, ch, cfg, snr).sinr, rel=1e-12)
+    assert kronecker_quotient(sys_s, tx_a, rx_b) == pytest.approx(
+        kronecker_quotient(sys_, tx, rx), rel=1e-12)
+    assert upper_bound(sys_s, snr) == pytest.approx(upper_bound(sys_, snr), rel=1e-12)
+
+
+@PROPERTY
+@given(instances(), st.floats(0.5, 1000.0), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_bound_dominates_run_pops(inst, snr, iterations, seed):
+    cfg, ch, _, _, _ = inst
+    init = random_waveform(np.random.default_rng(seed), cfg.L_phi, offset=-(cfg.L_phi // 2))
+    res = run_pops(cfg, ch, PopsConfig(snr=snr, max_iterations=iterations, init=init))
+    assert upper_bound(build_kronecker_system(cfg, ch), snr) >= res.final_sinr * (1 - 1e-10)

@@ -6,7 +6,16 @@ from pathlib import Path
 
 import pytest
 
-from pops import load_scenario, make_hermite_init, sinr
+from helpers import noise_init
+from pops import (
+    Waveform,
+    load_scenario,
+    make_gaussian_init,
+    make_hermite_init,
+    make_rrc_init,
+    sinr,
+)
+from pops.codec import decode
 from pops.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 
 SCENARIOS = sorted((Path(__file__).resolve().parent.parent / "demos" / "scenarios").glob("*.ini"))
@@ -164,6 +173,42 @@ grid = 0.05, 0.1
 """)
         assert run_cli("sweep", "doppler-delay", str(ini)) == EXIT_VALIDATION
         assert "channel.spread_product" in capsys.readouterr().err
+
+
+class TestInitStudy:
+    def test_tokens_build_their_pulses(self, workspace):
+        # Tokens keep make_initializer's default shapes, whatever the [pops] keys say.
+        ini, out = workspace
+        code = run_cli("sweep", "init-study", str(ini), "--set", "pops.max_iterations=2",
+                       "--set", "sweep.inits=hermite,gaussian,rrc,noise:3",
+                       "--set", "pops.hermite_coefficients=1,0,0.5",
+                       "--set", "pops.gaussian_sigma=2", "--set", "pops.rrc_rolloff=0.5")
+        assert code == EXIT_OK
+        meta = json.loads((out / "sweep_init-study.csv.meta.json").read_text())["metadata"]
+        cfg = load_scenario(ini).lattice()
+        sigma = math.sqrt(cfg.N * cfg.Q) / (2.0 * math.sqrt(math.pi))
+        want = {
+            "hermite": make_hermite_init(cfg, [1.0]),
+            "gaussian": make_gaussian_init(cfg, (cfg.L_phi - 1) / 2.0, sigma),
+            "rrc": make_rrc_init(cfg, rolloff=0.25),
+            "noise:3": noise_init(cfg, 3),
+        }
+        assert list(meta["inits"]) == list(want)
+        for token, w in want.items():
+            got = decode(Waveform, meta["inits"][token])
+            assert got.offset == w.offset
+            assert got.samples.tobytes() == w.samples.tobytes()
+
+    @pytest.mark.parametrize("inits, message", [
+        ("hermite,hermite", "duplicate initializer 'hermite'"),
+        ("hermite,noise", "unknown initializer 'noise'"),
+        ("hermite,noise:x", "bad noise seed in 'noise:x'"),
+    ])
+    def test_bad_tokens_are_named(self, workspace, capsys, inits, message):
+        ini, _ = workspace
+        code = run_cli("sweep", "init-study", str(ini), "--set", f"sweep.inits={inits}")
+        assert code == EXIT_VALIDATION
+        assert f"sweep.inits: {message}" in capsys.readouterr().err
 
 
 class TestMonteCarlo:

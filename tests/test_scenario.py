@@ -5,12 +5,16 @@ import math
 import numpy as np
 import pytest
 
+from helpers import noise_init
 from pops import (
     PathList,
     ScenarioError,
     SeparableChannel,
     Waveform,
     load_scenario,
+    make_gaussian_init,
+    make_hermite_init,
+    make_rrc_init,
     save_waveform_csv,
     scenario_from_text,
 )
@@ -217,6 +221,26 @@ class TestInitializers:
         sc = self._sc("init = wavelet\n")
         with pytest.raises(ScenarioError, match="wavelet"):
             sc.initializer(sc.lattice())
+
+    @pytest.mark.parametrize("extra, want", [
+        ("init = hermite\n", lambda cfg: make_hermite_init(cfg, [1.0])),
+        ("init = hermite\nhermite_coefficients = 1.0, 0.0, 0.5\n",
+         lambda cfg: make_hermite_init(cfg, [1.0, 0.0, 0.5])),
+        ("init = gaussian\n", lambda cfg: make_gaussian_init(
+            cfg, (cfg.L_phi - 1) / 2.0, math.sqrt(cfg.N * cfg.Q) / (2.0 * math.sqrt(math.pi)))),
+        ("init = gaussian\ngaussian_sigma = 2.5\n",
+         lambda cfg: make_gaussian_init(cfg, (cfg.L_phi - 1) / 2.0, 2.5)),
+        ("init = rrc\n", lambda cfg: make_rrc_init(cfg, 0.25)),
+        ("init = rrc\nrrc_rolloff = 0.5\nrrc_period = 9\n",
+         lambda cfg: make_rrc_init(cfg, 0.5, 9)),
+        ("init = noise\n", lambda cfg: noise_init(cfg, 0)),
+        ("init = noise\ninit_seed = 7\n", lambda cfg: noise_init(cfg, 7)),
+    ])
+    def test_each_kind_builds_its_pulse(self, extra, want):
+        sc = self._sc(extra)
+        got, expected = sc.initializer(sc.lattice()), want(sc.lattice())
+        assert got.offset == expected.offset
+        assert got.samples.tobytes() == expected.samples.tobytes()
 
 
 class TestOverrides:
