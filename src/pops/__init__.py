@@ -31,7 +31,7 @@ from .bound import (
     upper_bound,
 )
 from .channel import PathList, SeparableChannel, jakes_density
-from .kernels import KernelMatrix, best_window_start, build_ki, build_kin, build_ks, build_ks_kin
+from .kernels import KernelMatrix, best_window_start, build_ki, build_ks, build_ks_kin
 from .lattice import (
     LatticeConfig,
     Waveform,
@@ -90,7 +90,6 @@ __all__ = [
     "Waveform",
     "best_window_start",
     "build_ki",
-    "build_kin",
     "build_kronecker_system",
     "build_ks",
     "build_ks_kin",

@@ -12,9 +12,6 @@ Series store linear power ratios (SINR/SIR), not dB; conversion to dB is
 presentation, and keeping ratios makes cross-checks against the engine and
 the closed forms exact.  PSD series are the exception: they are genuinely
 logarithmic objects and are stored in dB normalized to a 0 dB peak.
-
-Sweep points are independent; set the environment variable ``POPS_THREADS``
-to evaluate them concurrently (row order follows the axis regardless).
 """
 
 from __future__ import annotations
@@ -22,8 +19,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -87,15 +82,6 @@ class SweepResult:
                 )
             fixed[name] = arr
         object.__setattr__(self, "series", fixed)
-
-
-def _map_points(fn, items):
-    """Evaluate fn over items, optionally in parallel, preserving order."""
-    workers = int(os.environ.get("POPS_THREADS", "1"))
-    if workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
 
 
 def _resolve_pops(pops: PopsConfig | None, snr: float) -> PopsConfig:
@@ -224,7 +210,7 @@ def sweep_ft(
         row["conventional"] = sinr_conventional(cfg_cv, ch, snr).sinr
         return row
 
-    rows = _map_points(point, ft_values)
+    rows = [point(ft) for ft in ft_values]
     series: dict[str, list[float]] = {
         f"pops_dphi{a}_dpsi{b}": [] for a, b in durations
     }
@@ -293,7 +279,7 @@ def sweep_doppler_delay(
             row[f"conventional_cp{cp}"] = sinr_conventional(cfg_cv, ch, snr).sinr
         return row
 
-    rows = _map_points(point, grid)
+    rows = [point(g) for g in grid]
     names = ["pops"] + [f"conventional_cp{cp}" for cp in cp_samples]
     return SweepResult(
         axis_name="bd_over_f",
@@ -342,7 +328,7 @@ def _sync_sweep(
             ).sinr
         return row
 
-    rows = _map_points(point, values)
+    rows = [point(v) for v in values]
     names = ["pops"] + [f"conventional_cp{cp}" for cp in cp_baselines]
     axis_name = "tau_samples" if kind == "time-sync" else "dfreq_in_F"
     return SweepResult(
@@ -418,19 +404,15 @@ def sweep_mismatch(
     if not optimize_at or not evaluate_over:
         raise ValueError("optimize_at and evaluate_over must be nonempty")
 
-    designs = _map_points(
-        lambda v: run_pops(cfg, SeparableChannel.from_spread_product(cfg, v, K=K, b=b), pcfg),
-        optimize_at,
-    )
+    designs = [run_pops(cfg, SeparableChannel.from_spread_product(cfg, v, K=K, b=b), pcfg)
+               for v in optimize_at]
     eval_channels = [
         SeparableChannel.from_spread_product(cfg, v, K=K, b=b) for v in evaluate_over
     ]
     series = {}
     for v, res in zip(optimize_at, designs):
-        vals = _map_points(
-            lambda ch: sinr(res.tx_opt, res.rx_opt, ch, cfg, snr).sinr, eval_channels
-        )
-        series[f"optimized_at_{v:g}"] = np.array(vals)
+        series[f"optimized_at_{v:g}"] = np.array(
+            [sinr(res.tx_opt, res.rx_opt, ch, cfg, snr).sinr for ch in eval_channels])
     return SweepResult(
         axis_name="spread_product",
         axis_values=np.array(evaluate_over),
@@ -475,10 +457,8 @@ def initialization_study(
     pcfg = _resolve_pops(pops, snr)
     warnings: list[str] = []
 
-    finals = _map_points(
-        lambda nw: run_pops(cfg, ch, dataclasses.replace(pcfg, init=nw[1])).final_sinr,
-        inits,
-    )
+    finals = [run_pops(cfg, ch, dataclasses.replace(pcfg, init=w)).final_sinr
+              for _, w in inits]
     conventional = sinr_conventional(cfg, ch, snr).sinr
     try:
         bound_value = upper_bound(build_kronecker_system(cfg, ch), snr)
@@ -566,8 +546,13 @@ def rerun_from_metadata(metadata: dict) -> SweepResult:
     """Re-execute a sweep from its serialized metadata snapshot.
 
     The returned result carries the same numbers as the original run; this is
-    the package's reproducibility contract for analysis artifacts.
+    the package's reproducibility contract for analysis artifacts.  A sidecar
+    whose ``pops`` sets the retired ``paper_literal_gep`` holds results of the
+    SIR objective it selected and is refused; the key set to false is ignored.
     """
+    if (metadata.get("pops") or {}).get("paper_literal_gep"):
+        raise ValueError("pops.paper_literal_gep = true is retired: this sidecar's series "
+                         "cannot be reproduced")
     m = {k: decode(_ENCODED[k], v) if k in _ENCODED else v for k, v in metadata.items()}
     kind = m["sweep"]
     if kind == "psd":

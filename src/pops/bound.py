@@ -36,7 +36,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .channel import PathList, SeparableChannel
 from .lattice import LatticeConfig, Waveform
@@ -45,8 +44,8 @@ from .sinr import power_ratio
 __all__ = ["KroneckerSystem", "SingularInterferenceError", "build_kronecker_system",
            "kronecker_quotient", "upper_bound"]
 
-# Relative eigenvalue threshold below which B is treated as singular.
-_SINGULAR_RTOL = 1e-12
+# Relative eigenvalue threshold below which a direction of A + B carries no power.
+_RANGE_RTOL = 1e-12
 
 
 class SingularInterferenceError(np.linalg.LinAlgError):
@@ -231,11 +230,6 @@ def kronecker_quotient(sys: KroneckerSystem, tx: Waveform, rx: Waveform) -> floa
     return power_ratio(ps, pi)
 
 
-def _hermitian_projection(mat: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    sub = basis.conj().T @ mat @ basis
-    return 0.5 * (sub + sub.conj().T)
-
-
 def upper_bound(sys: KroneckerSystem, snr: float = math.inf) -> float:
     """Largest generalized eigenvalue of (A, B + I/snr).
 
@@ -245,10 +239,16 @@ def upper_bound(sys: KroneckerSystem, snr: float = math.inf) -> float:
     windows (snr = inf gives the pure SIR bound).  A and B are block diagonal
     by lag, so this is the largest of the per-block top eigenvalues.
 
+    The blocks are solved as the optimizer's half-step is: on the range of
+    T = A + B + I/snr, the top eigenpair of T^-1/2 A T^-1/2 gives the
+    maximizing ``chi``, and the bound is that vector's quotient under the
+    zero-interference rule of :func:`~pops.sinr.power_ratio`.
+
     Raises
     ------
     SingularInterferenceError
-        If snr = inf and B is singular (the SIR bound is infinite).
+        If the maximizing ``chi`` carries no interference: B is singular at
+        snr = inf and the SIR bound is infinite.
     """
     if not snr > 0.0:
         raise ValueError(f"snr must be positive, got {snr}")
@@ -256,24 +256,24 @@ def upper_bound(sys: KroneckerSystem, snr: float = math.inf) -> float:
     # power (both forms are PSD, so null quadratic form means null vector);
     # they never help the quotient and would fake a singular B on windows
     # larger than the channel's reach or on a block's zero padding.  Work on
-    # range(A + B); thresholds are relative to the largest over all blocks.
-    total_eigs, total_vecs = np.linalg.eigh(sys.a_matrix + sys.b_matrix)
-    keep = total_eigs > _SINGULAR_RTOL * max(total_eigs.max(initial=0.0), 0.0)
-    subs = [
-        (_hermitian_projection(a, vecs[:, kept]),
-         _hermitian_projection(b, vecs[:, kept]) + np.eye(kept.sum()) / snr)
-        for a, b, vecs, kept in zip(sys.a_matrix, sys.b_matrix, total_vecs, keep)
-        if kept.any()
-    ]
-    if not subs:
+    # range(A + B); the threshold is relative to the largest over all blocks.
+    lam, U = np.linalg.eigh(sys.a_matrix + sys.b_matrix)
+    keep = lam > _RANGE_RTOL * lam.max(initial=0.0)
+    if not keep.any():
         return 0.0
-    if math.isinf(snr):
-        eigs = np.concatenate([scipy.linalg.eigvalsh(b_sub) for _, b_sub in subs])
-        if eigs.min() <= _SINGULAR_RTOL * max(eigs.max(), 0.0):
-            raise SingularInterferenceError(
-                "interference operator is singular at snr = inf (some chi has "
-                "zero interference, the SIR bound is infinite); pass a finite "
-                "snr for the noise-regularized bound"
-            )
-    return float(max(scipy.linalg.eigh(a_sub, b_sub, eigvals_only=True)[-1]
-                     for a_sub, b_sub in subs))
+    # In the eigenbasis of A + B, T is diagonal: whiten by it, 0 off the range.
+    scale = np.where(keep, lam + 1.0 / snr, np.inf) ** -0.5
+    white = scale[..., None] * (U.conj().swapaxes(1, 2) @ sys.a_matrix @ U) * scale[:, None, :]
+    top, Y = np.linalg.eigh(white)
+    block = int(np.argmax(top[:, -1]))
+    chi = U[block] @ (scale[block] * Y[block, :, -1])
+    ps = float(np.real(np.vdot(chi, sys.a_matrix[block] @ chi)))
+    pi = float(np.real(np.vdot(chi, sys.b_matrix[block] @ chi) + np.vdot(chi, chi) / snr))
+    value = power_ratio(ps, pi)
+    if math.isinf(value):
+        raise SingularInterferenceError(
+            "interference operator is singular at snr = inf (some chi has "
+            "zero interference, the SIR bound is infinite); pass a finite "
+            "snr for the noise-regularized bound"
+        )
+    return value

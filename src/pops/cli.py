@@ -11,8 +11,7 @@ montecarlo, validate.
 Artifacts (CSV/JSON) go to the scenario's ``run.output_dir``; the scenario
 hash is embedded in each artifact and in the single summary line printed on
 success.  Exit codes: 0 success, 2 scenario/validation error, 3 numerical
-failure (e.g. a singular interference operator at snr=inf).  Set
-``POPS_THREADS`` to parallelize sweep points.
+failure (e.g. a singular interference operator at snr=inf).
 """
 
 from __future__ import annotations
@@ -316,7 +315,7 @@ def _cmd_validate(sc: Scenario, args) -> str:
 
     pcfg = sc.pops(cfg)
     phi = pcfg.init if pcfg.init is not None else make_hermite_init(cfg, [1.0])
-    ks, kin = build_ks_kin(phi, ch, cfg, cfg.L_psi, snr, sign=1, label="receive")
+    ks, kin = build_ks_kin(phi, ch, cfg, cfg.L_psi, snr)
     psi, value = half_step(ks, kin)
     err = rel(value, sinr(phi, psi, ch, cfg, snr).sinr)
     checks.append(("half-step-vs-engine", err <= 1e-10, f"rel err {err:.3e}"))

@@ -55,7 +55,8 @@ def decode(hint, value):
 
     ``hint`` is a class, ``X | None``, or :data:`Channel`, whose member the
     ``kind`` tag picks.  Keys that name no field, such as the retired
-    ``approach`` and ``bound_max_dimension`` of older sidecars, are ignored.
+    ``approach``, ``bound_max_dimension`` and ``paper_literal_gep`` of older
+    sidecars, are ignored.
     """
     if isinstance(hint, types.UnionType):
         members = [t for t in typing.get_args(hint) if t is not type(None)]

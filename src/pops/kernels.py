@@ -24,14 +24,16 @@ No L x L product is formed:
   Doppler phase; for a separable channel, at G Gauss-Chebyshev Dopplers
   (:func:`jakes_nodes`, G = 6-7 at the paper's spreads), so r = K G, or L via a
   QR when K G > L (Doppler spreads near the sample rate).
-* T = KS + KI (+ ||w||^2/snr I) is zero off the diagonals r = 0 (mod Q): it is
-  stored as its Q residue blocks T[c, a, b] = T(c + a Q, c + b Q), stacked and
-  zero-padded to (Q, m, m) with m = ceil(L / Q).  KI is T - C C^H at snr=inf.
+* T = KS + KIN, KIN = KI + ||w||^2/snr I, is zero off the diagonals r = 0
+  (mod Q): it is stored as its Q residue blocks T[c, a, b] = T(c + a Q, c + b Q),
+  stacked and zero-padded to (Q, m, m) with m = ceil(L / Q).  The noise term is
+  added here, in :func:`build_ks_kin`, and nowhere else; KI is T - C C^H at snr=inf.
 
 Assembly costs O(L (r + J m)) for J lattice shifts, a half-step O(L (m^2 + m r + r^2) + r^3).
 
 The S(-p, -nu) orientation (sign=-1) negates delays and Dopplers; it appears
-in the role-swap identities and in the pong half-step of the optimizer.
+in the role-swap identities.  The optimizer's pong half-step does not use it:
+it builds the kernels of the time-reversed receiver with sign=1.
 """
 
 from __future__ import annotations
@@ -46,42 +48,34 @@ from scipy.special import j0, jv
 from .channel import PathList, SeparableChannel
 from .lattice import LatticeConfig, Waveform
 
-__all__ = ["KernelMatrix", "build_ks", "build_ki", "build_kin", "build_ks_kin",
-           "best_window_start"]
-
-KIND_USEFUL = "useful"
-KIND_INTERFERENCE = "interference"
-KIND_INTERFERENCE_NOISE = "interference-plus-noise"
+__all__ = ["KernelMatrix", "build_ks", "build_ki", "build_ks_kin", "best_window_start"]
 
 
 @dataclass(frozen=True)
 class KernelMatrix:
     """Hermitian PSD kernel on the global window [window_start, window_start+L).
 
-    A useful kernel stores its factor C (L x r) in ``data``: KS = C C^H.  An
-    interference kernel stores the comb blocks (Q, m, m) of T = KS + KI (plus
-    noise) in ``data`` and the C of that KS in ``factor``: KI = T - C C^H.
+    Without a factor it is KS, stored as its factor C (L x r) in ``data``:
+    KS = C C^H.  With one it is the denominator kernel: ``data`` holds the comb
+    blocks (Q, m, m) of T = KS + KIN and ``factor`` the C of that KS, so that
+    KIN = T - C C^H.
     """
 
     data: np.ndarray
-    kind: str
-    built_from: str
     sign: int
     window_start: int
     factor: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in (KIND_USEFUL, KIND_INTERFERENCE, KIND_INTERFERENCE_NOISE):
-            raise ValueError(f"unknown kernel kind {self.kind!r}")
         if self.sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
-        if (self.kind == KIND_USEFUL) != (self.factor is None):
-            raise ValueError("an interference kernel, and only it, carries the factor of KS")
         for name in ("data", "factor"):
             if getattr(self, name) is not None:
                 arr = np.array(getattr(self, name), dtype=np.complex128)
                 arr.flags.writeable = False
                 object.__setattr__(self, name, arr)
+        if self.factor is None and self.data.ndim != 2:
+            raise ValueError(f"a KS factor is L x r, got shape {self.data.shape}")
         if self.factor is not None and self.data.shape[1:] != (-(-self.L // len(self.data)),) * 2:
             raise ValueError(f"comb blocks {self.data.shape} do not tile L={self.L}")
         object.__setattr__(self, "window_start", int(self.window_start))
@@ -172,7 +166,7 @@ def _rows(w: Waveform, s: int, L: int, shifts: np.ndarray, path: np.ndarray, par
 
 
 def build_ks(w: Waveform, ch, L_out: int, window_start: int | None = None,
-             sign: int = 1, label: str = "w") -> KernelMatrix:
+             sign: int = 1) -> KernelMatrix:
     """Useful-signal kernel of waveform w on a length-L_out window, as its factor C.
 
     window_start=None selects the maximum-trace window (see
@@ -189,11 +183,13 @@ def build_ks(w: Waveform, ch, L_out: int, window_start: int | None = None,
         rows = (rows[:, None, :] * phase).reshape(-1, L_out)
     if len(rows) > L_out:  # more columns than samples: Doppler spreads near the sample rate
         rows = np.linalg.qr(rows, mode="r")  # C^T = Q R gives C C^H = R^T conj(R)
-    return KernelMatrix(rows.T, KIND_USEFUL, label, sign, s)
+    return KernelMatrix(rows.T, sign, s)
 
 
-def _interference(w: Waveform, ch, cfg: LatticeConfig, ks: KernelMatrix) -> KernelMatrix:
-    """KI on the window of ks: the comb blocks of the total over lattice shifts."""
+def _total(w: Waveform, ch, cfg: LatticeConfig, ks: KernelMatrix,
+           noise: float = 0.0) -> KernelMatrix:
+    """T = KS + KI + noise I on the window of ks, as comb blocks: the total over
+    lattice shifts, plus noise on the window's samples (not on the padding)."""
     params = delays, _, _, bd_ts = _path_params(ch, ks.sign)
     if abs(ch.Ts - cfg.Ts) > 0:
         raise ValueError(f"channel Ts={ch.Ts} disagrees with lattice Ts={cfg.Ts}")
@@ -207,33 +203,27 @@ def _interference(w: Waveform, ch, cfg: LatticeConfig, ks: KernelMatrix) -> Kern
     blocks = cfg.Q * (u @ u.conj().swapaxes(1, 2))
     if bd_ts:
         blocks *= toeplitz(j0(np.pi * bd_ts * cfg.Q * np.arange(u.shape[1])))
-    return KernelMatrix(blocks, KIND_INTERFERENCE, ks.built_from, ks.sign, s, ks.data)
+    if noise:
+        valid = to_comb(np.ones(L), cfg.Q)
+        blocks += noise * valid[:, :, None] * np.eye(valid.shape[1])
+    return KernelMatrix(blocks, ks.sign, s, ks.data)
 
 
 def build_ki(w: Waveform, ch, cfg: LatticeConfig, L_out: int,
-             window_start: int | None = None, sign: int = 1,
-             label: str = "w") -> KernelMatrix:
+             window_start: int | None = None, sign: int = 1) -> KernelMatrix:
     """Interference kernel: comb-folded total over all lattice shifts, minus KS."""
-    return _interference(w, ch, cfg, build_ks(w, ch, L_out, window_start, sign, label))
-
-
-def build_kin(ki: KernelMatrix, w_other_norm_sq: float, snr: float) -> KernelMatrix:
-    """KIN = KI + (||w||^2 / SNR) I; snr may be math.inf (zero-noise limit)."""
-    if ki.kind != KIND_INTERFERENCE:
-        raise ValueError(f"build_kin expects an interference kernel, got {ki.kind!r}")
-    if not snr > 0:
-        raise ValueError(f"snr must be positive, got {snr}")
-    blocks = ki.data
-    if not math.isinf(snr):  # the identity on the window's samples, not on the padding
-        valid = to_comb(np.ones(ki.L), len(blocks))
-        blocks = blocks + (w_other_norm_sq / snr) * valid[:, :, None] * np.eye(valid.shape[1])
-    return KernelMatrix(blocks, KIND_INTERFERENCE_NOISE, ki.built_from, ki.sign,
-                        ki.window_start, ki.factor)
+    return _total(w, ch, cfg, build_ks(w, ch, L_out, window_start, sign))
 
 
 def build_ks_kin(w: Waveform, ch, cfg: LatticeConfig, L_out: int, snr: float,
-                 window_start: int | None = None, sign: int = 1,
-                 label: str = "w") -> tuple[KernelMatrix, KernelMatrix]:
-    """(KS, KIN) sharing one window — the pair a half-step solver consumes."""
-    ks = build_ks(w, ch, L_out, window_start=window_start, sign=sign, label=label)
-    return ks, build_kin(_interference(w, ch, cfg, ks), w.energy, snr)
+                 window_start: int | None = None,
+                 sign: int = 1) -> tuple[KernelMatrix, KernelMatrix]:
+    """(KS, KIN) sharing one window — the pair a half-step solver consumes.
+
+    KIN = KI + (||w||^2 / snr) I on the window's samples; snr may be math.inf
+    (the zero-noise limit, KIN = KI).
+    """
+    if not snr > 0:
+        raise ValueError(f"snr must be positive, got {snr}")
+    ks = build_ks(w, ch, L_out, window_start=window_start, sign=sign)
+    return ks, _total(w, ch, cfg, ks, w.energy / snr)

@@ -46,13 +46,13 @@ __all__ = ["PopsConfig", "PopsResult", "half_step", "run_pops",
 
 @dataclass(frozen=True)
 class PopsConfig:
-    """Optimizer settings; `init` defaults to the order-0 Hermite Gaussian."""
+    """Optimizer settings.  Both half-steps maximize the SINR at `snr` (snr = inf
+    designs for the SIR); `init` defaults to the order-0 Hermite Gaussian."""
 
     epsilon: float = 1e-10
     max_iterations: int = 200
     snr: float = math.inf
     init: Waveform | None = None
-    paper_literal_gep: bool = False
 
     def __post_init__(self):
         if not self.epsilon > 0:
@@ -130,23 +130,18 @@ def run_pops(cfg: LatticeConfig, ch, pcfg: PopsConfig) -> PopsResult:
     converged = False
     iterations = 0
 
-    # The literal form of the GEP listing divides by the bare interference
-    # kernel, which is exactly the snr=inf denominator.
-    den_snr = math.inf if pcfg.paper_literal_gep else pcfg.snr
-
     for it in range(1, pcfg.max_iterations + 1):
         iterations = it
         # Ping: receiver update.
-        ks, kin = build_ks_kin(phi, ch, cfg, cfg.L_psi, den_snr,
-                               window_start=psi_window, label="tx")
+        ks, kin = build_ks_kin(phi, ch, cfg, cfg.L_psi, pcfg.snr, window_start=psi_window)
         psi_window = ks.window_start
         psi_new, value = half_step(ks, kin, notes)
         trajectory.append((it, "ping", value))
         e_psi = _diff_norm(psi, psi_new)
         psi = psi_new
         # Pong: transmit update via the time-reversal identity.
-        ks, kin = build_ks_kin(time_reverse(psi), ch, cfg, cfg.L_phi, den_snr,
-                               window_start=pong_start, label="rx-reversed")
+        ks, kin = build_ks_kin(time_reverse(psi), ch, cfg, cfg.L_phi, pcfg.snr,
+                               window_start=pong_start)
         phi_rev, value = half_step(ks, kin, notes)
         phi_new = phase_fixed(time_reverse(phi_rev))
         trajectory.append((it, "pong", value))

@@ -91,7 +91,6 @@ _SCHEMA: dict[str, dict[str, str | None]] = {
     "pops": {
         "epsilon": "1e-10",
         "max_iterations": "200",
-        "paper_literal_gep": "false",
         "init": "hermite",
         "hermite_coefficients": "1.0",
         "gaussian_sigma": None,
@@ -174,17 +173,6 @@ class Scenario:
         return self._typed(
             section, key, lambda s: math.inf if s == "inf" else float(s), "number"
         )
-
-    def _bool(self, section: str, key: str) -> bool | None:
-        def parse(s: str) -> bool:
-            low = s.lower()
-            if low in ("true", "1", "yes"):
-                return True
-            if low in ("false", "0", "no"):
-                return False
-            raise ValueError(s)
-
-        return self._typed(section, key, parse, "boolean")
 
     def _float_list(self, section: str, key: str) -> list[float] | None:
         return self._typed(
@@ -320,7 +308,6 @@ class Scenario:
                 max_iterations=self._int("pops", "max_iterations"),
                 snr=self.snr,
                 init=self.initializer(cfg),
-                paper_literal_gep=self._bool("pops", "paper_literal_gep"),
             )
         except ScenarioError:
             raise

@@ -58,8 +58,7 @@ def random_kernel_pair(rng, L, ridge=0.1, q=None, r=None):
 
 def structured_pair(C, blocks):
     """(KS, KIN) kernels of KS = C C^H and T = KS + KIN given by its comb blocks."""
-    ks = KernelMatrix(C, "useful", "synthetic", 1, 0)
-    return ks, KernelMatrix(blocks, "interference-plus-noise", "synthetic", 1, 0, C)
+    return KernelMatrix(C, 1, 0), KernelMatrix(blocks, 1, 0, C)
 
 
 def expand(kernel):

@@ -392,16 +392,25 @@ class TestReplay:
         assert decode(PopsConfig, legacy) == PopsConfig(epsilon=1e-8, max_iterations=7)
         assert "approach" not in encode(decode(PopsConfig, legacy))
 
-
-class TestThreadedMap:
-    def test_thread_count_does_not_change_results(self, monkeypatch):
+    def test_legacy_literal_gep_false_is_ignored(self):
+        # Sidecars written before the single SINR objective carry "paper_literal_gep".
         cfg = LatticeConfig(N=10, Q=8)
         ch = SeparableChannel.from_spread_product(cfg, 0.01)
-        res = run_pops(cfg, ch, PopsConfig(snr=10.0, max_iterations=10))
-        serial = sweep_time_sync(res, ch, cfg, [-2, -1, 0, 1, 2], snr=10.0,
-                                 cp_baselines=(2,))
-        monkeypatch.setenv("POPS_THREADS", "3")
-        threaded = sweep_time_sync(res, ch, cfg, [-2, -1, 0, 1, 2], snr=10.0,
-                                   cp_baselines=(2,))
-        for k in serial.series:
-            np.testing.assert_array_equal(threaded.series[k], serial.series[k])
+        inits = [("hermite", make_hermite_init(cfg, [1.0])),
+                 ("gaussian", make_gaussian_init(cfg, (cfg.L_phi - 1) / 2, 2.0))]
+        r = initialization_study(cfg, ch, 10.0, inits,
+                                 pops=PopsConfig(snr=10.0, max_iterations=5))
+        assert "paper_literal_gep" not in r.metadata["pops"]
+        legacy = {**r.metadata, "pops": {**r.metadata["pops"], "paper_literal_gep": False}}
+        again = rerun_from_metadata(legacy)
+        assert again.metadata == r.metadata
+        for k in r.series:
+            np.testing.assert_array_equal(again.series[k], r.series[k])
+
+    def test_legacy_literal_gep_true_is_refused(self):
+        # Its series came from the retired SIR objective and cannot be reproduced.
+        legacy = {"sweep": "init-study", "snr": 10.0,
+                  "pops": {"epsilon": 1e-10, "max_iterations": 5, "snr": 10.0,
+                           "paper_literal_gep": True}}
+        with pytest.raises(ValueError, match=r"pops\.paper_literal_gep"):
+            rerun_from_metadata(legacy)

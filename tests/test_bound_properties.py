@@ -106,3 +106,6 @@ def test_bound_dominates_run_pops(inst, snr, iterations, seed):
     init = random_waveform(np.random.default_rng(seed), cfg.L_phi, offset=-(cfg.L_phi // 2))
     res = run_pops(cfg, ch, PopsConfig(snr=snr, max_iterations=iterations, init=init))
     assert upper_bound(build_kronecker_system(cfg, ch), snr) >= res.final_sinr * (1 - 1e-10)
+    # The optimizer's value is the SINR at snr of the pair it returns.
+    assert res.final_sinr == pytest.approx(sinr(res.tx_opt, res.rx_opt, ch, cfg, snr).sinr,
+                                           rel=1e-9)

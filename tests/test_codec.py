@@ -71,8 +71,7 @@ def separable_channels(draw):
 def pops_configs(draw):
     return PopsConfig(epsilon=draw(positive), max_iterations=draw(st.integers(1, 10**6)),
                       snr=draw(st.one_of(st.just(math.inf), positive)),
-                      init=draw(st.one_of(st.none(), waveforms())),
-                      paper_literal_gep=draw(st.booleans()))
+                      init=draw(st.one_of(st.none(), waveforms())))
 
 
 @pytest.mark.parametrize("hint, values", [
@@ -100,14 +99,13 @@ def test_layout():
     assert encode(sep) == {"kind": "separable", "K": 2, "b": 0.5, "delays": [0, 3],
                            "Bd": 0.01, "Ts": 1.0}
     # An absent initializer is left out; an infinite SNR is written "inf".
-    assert encode(PopsConfig()) == {"epsilon": 1e-10, "max_iterations": 200, "snr": "inf",
-                                    "paper_literal_gep": False}
+    assert encode(PopsConfig()) == {"epsilon": 1e-10, "max_iterations": 200, "snr": "inf"}
     assert encode(PopsConfig(snr=10.0, init=Waveform([1.0])))["init"] == {
         "offset": 0, "re": [1.0], "im": [0.0]}
     assert decode(float, "inf") == math.inf
 
 
-@pytest.mark.parametrize("key", ["approach", "bound_max_dimension"])
+@pytest.mark.parametrize("key", ["approach", "bound_max_dimension", "paper_literal_gep"])
 def test_unknown_keys_are_ignored(key):
     for hint, value in [(PopsConfig, PopsConfig(snr=3.0, init=Waveform([1j], offset=2))),
                         (LatticeConfig, LatticeConfig(N=12, Q=8, Dpsi=2)),

@@ -16,12 +16,12 @@ from pops import (
     Waveform,
     best_window_start,
     build_ki,
-    build_kin,
     build_ks,
     build_ks_kin,
     make_conventional_rx,
     make_conventional_tx,
 )
+from pops.kernels import to_comb
 
 
 # ---------------------------------------------------------------------------
@@ -173,27 +173,31 @@ class TestKernelInvariants:
             cfg, ch, w = self._random_instance(seed)
             ks = build_ks(w, ch, cfg.Q)
             ki = build_ki(w, ch, cfg, cfg.Q)
-            for k in (ks, ki):
+            for name, k in (("ks", ks), ("ki", ki)):
                 dense = expand(k)
                 np.testing.assert_allclose(dense, dense.conj().T, atol=1e-14)
                 lo = np.linalg.eigvalsh(dense)[0]
-                assert lo > -1e-12 * max(np.abs(dense).max(), 1.0), (seed, k.kind)
+                assert lo > -1e-12 * max(np.abs(dense).max(), 1.0), (seed, name)
 
     def test_kin_adds_scaled_identity(self):
+        # KIN = KI + ||w||^2/snr I on the window's samples; the comb padding stays 0.
         cfg, ch, w = self._random_instance(7)
-        ki = build_ki(w, ch, cfg, cfg.Q)
-        kin = build_kin(ki, w_other_norm_sq=2.5, snr=10.0)
-        np.testing.assert_allclose(expand(kin), expand(ki) + 0.25 * np.eye(ki.L), atol=1e-15)
-        kin_inf = build_kin(ki, w_other_norm_sq=2.5, snr=math.inf)
+        L = cfg.Q + 3  # not a multiple of Q: the last comb blocks carry padding
+        ki = build_ki(w, ch, cfg, L)
+        _, kin = build_ks_kin(w, ch, cfg, L, snr=10.0, window_start=ki.window_start)
+        np.testing.assert_allclose(expand(kin), expand(ki) + w.energy / 10.0 * np.eye(L),
+                                   atol=1e-15)
+        pad = ~to_comb(np.ones(L, dtype=bool), cfg.Q)  # (Q, m), True on the padding
+        assert pad.any()
+        assert not kin.data[pad].any() and not kin.data.swapaxes(1, 2)[pad].any()
+        _, kin_inf = build_ks_kin(w, ch, cfg, L, snr=math.inf, window_start=ki.window_start)
         np.testing.assert_array_equal(kin_inf.data, ki.data)
         np.testing.assert_array_equal(kin_inf.factor, ki.factor)
 
     def test_build_ks_kin_shares_window(self):
         cfg, ch, w = self._random_instance(8)
         ks, kin = build_ks_kin(w, ch, cfg, cfg.Q, snr=10.0)
-        assert ks.window_start == kin.window_start
-        direct = build_kin(build_ki(w, ch, cfg, cfg.Q), w.energy, 10.0)
-        np.testing.assert_allclose(kin.data, direct.data, atol=1e-15)
+        assert ks.window_start == kin.window_start == build_ki(w, ch, cfg, cfg.Q).window_start
         np.testing.assert_array_equal(kin.factor, ks.data)
 
     def test_quad_matches_manual_product(self):
@@ -211,17 +215,15 @@ class TestKernelInvariants:
         with pytest.raises(ValueError):
             build_ks(w, ch, 0)
         ks = build_ks(w, ch, cfg.Q)
-        with pytest.raises(ValueError):
-            build_kin(ks, 1.0, 10.0)  # wrong kernel kind
         ki = build_ki(w, ch, cfg, cfg.Q)
         with pytest.raises(ValueError):
-            build_kin(ki, 1.0, 0.0)
+            build_ks_kin(w, ch, cfg, cfg.Q, 0.0)
         with pytest.raises(ValueError):
-            KernelMatrix(np.eye(3), "useful", "w", sign=2, window_start=0)
-        with pytest.raises(ValueError):  # an interference kernel needs the factor of KS
-            KernelMatrix(ki.data, "interference", "w", sign=1, window_start=0)
+            KernelMatrix(np.eye(3), sign=2, window_start=0)
+        with pytest.raises(ValueError):  # comb blocks need the factor of KS
+            KernelMatrix(ki.data, sign=1, window_start=0)
         with pytest.raises(ValueError):  # blocks that do not tile the factor's L
-            KernelMatrix(ki.data[:4], "interference", "w", 1, 0, ks.data)
+            KernelMatrix(ki.data[:4], 1, 0, ks.data)
         bad_ts = SeparableChannel.with_uniform_delays(K=2, b=0.5, max_delay=2, Bd=0.0, Ts=2.0)
         with pytest.raises(ValueError):
             build_ki(random_waveform(np.random.default_rng(0), 8), bad_ts, cfg, cfg.Q)

@@ -149,14 +149,6 @@ class TestRunPops:
         _, best = half_step(ks, kin)
         assert best <= res.final_sinr * (1 + 1e-9)
 
-    def test_literal_gep_is_zero_noise_denominator(self):
-        # The plain generalized eigenproblem divides by the bare interference
-        # kernel; with snr=inf both formulations coincide.
-        a = run_pops(self.cfg, self.ch, PopsConfig(snr=math.inf, max_iterations=25))
-        b = run_pops(self.cfg, self.ch,
-                     PopsConfig(snr=10.0, paper_literal_gep=True, max_iterations=25))
-        np.testing.assert_allclose(a.tx_opt.samples, b.tx_opt.samples, atol=1e-12)
-
     def test_custom_init_is_honored(self):
         rng = np.random.default_rng(91)
         init = random_waveform(rng, self.cfg.L_phi, offset=-(self.cfg.L_phi // 2))

@@ -73,6 +73,12 @@ class TestParsing:
         with pytest.raises(ScenarioError, match=r"pops\.approach"):
             scenario_from_text(MINIMAL + "\n[pops]\napproach = rayleigh\n")
 
+    def test_retired_literal_gep_key_is_named(self):
+        with pytest.raises(ScenarioError, match=r"pops\.paper_literal_gep"):
+            scenario_from_text(MINIMAL + "\n[pops]\npaper_literal_gep = false\n")
+        with pytest.raises(ScenarioError, match=r"pops\.paper_literal_gep"):
+            scenario_from_text(MINIMAL, overrides=["pops.paper_literal_gep=true"])
+
     def test_retired_bound_dimension_key_is_named(self):
         with pytest.raises(ScenarioError, match=r"bound\.max_dimension"):
             scenario_from_text(MINIMAL + "\n[bound]\nmax_dimension = 4096\n")

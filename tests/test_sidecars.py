@@ -69,7 +69,7 @@ CASES = {
                                        K=3, b=0.25),
     "init-study": lambda: initialization_study(
         CFG, PATHS, 10.0, [("a", _pulse(-5)), ("b", _pulse(-4, 1)), ("c", _pulse(-5, 2))],
-        pops=PopsConfig(max_iterations=5, paper_literal_gep=True)),
+        pops=PopsConfig(max_iterations=5)),
 }
 
 
