@@ -44,7 +44,7 @@ from .sinr import power_ratio
 __all__ = ["KroneckerSystem", "SingularInterferenceError", "build_kronecker_system",
            "kronecker_quotient", "upper_bound"]
 
-# Relative eigenvalue threshold below which a direction of A + B carries no power.
+# Relative eigenvalue threshold below which A + B loses a direction and B is singular.
 _RANGE_RTOL = 1e-12
 
 
@@ -241,14 +241,14 @@ def upper_bound(sys: KroneckerSystem, snr: float = math.inf) -> float:
 
     The blocks are solved as the optimizer's half-step is: on the range of
     T = A + B + I/snr, the top eigenpair of T^-1/2 A T^-1/2 gives the
-    maximizing ``chi``, and the bound is that vector's quotient under the
-    zero-interference rule of :func:`~pops.sinr.power_ratio`.
+    maximizing ``chi``, and the bound is that vector's quotient, read at
+    snr = inf under the zero-interference rule of :func:`~pops.sinr.power_ratio`.
 
     Raises
     ------
     SingularInterferenceError
-        If the maximizing ``chi`` carries no interference: B is singular at
-        snr = inf and the SIR bound is infinite.
+        If snr = inf and B is singular on the range of A + B (some ``chi``
+        carries no interference): the SIR bound is infinite.
     """
     if not snr > 0.0:
         raise ValueError(f"snr must be positive, got {snr}")
@@ -269,8 +269,16 @@ def upper_bound(sys: KroneckerSystem, snr: float = math.inf) -> float:
     chi = U[block] @ (scale[block] * Y[block, :, -1])
     ps = float(np.real(np.vdot(chi, sys.a_matrix[block] @ chi)))
     pi = float(np.real(np.vdot(chi, sys.b_matrix[block] @ chi) + np.vdot(chi, chi) / snr))
+    if math.isfinite(snr):
+        return max(ps, 0.0) / pi  # pi >= ||chi||^2/snr > 0
+    # Whitening amplifies rounding and can hide a singular B: read B's spectrum on
+    # the range too, each dropped direction decoupled at a Rayleigh quotient of it.
+    sub = U.conj().swapaxes(1, 2) @ sys.b_matrix @ U
+    pad = np.where(keep, 0.0, sub[int(np.argmax(lam[:, -1])), -1, -1].real)
+    eigs = np.linalg.eigvalsh(np.where(keep[:, :, None] & keep[:, None, :], sub, 0.0)
+                              + pad[..., None] * np.eye(lam.shape[1]))
     value = power_ratio(ps, pi)
-    if math.isinf(value):
+    if math.isinf(value) or eigs.min() <= _RANGE_RTOL * eigs.max():
         raise SingularInterferenceError(
             "interference operator is singular at snr = inf (some chi has "
             "zero interference, the SIR bound is infinite); pass a finite "

@@ -170,17 +170,11 @@ class Scenario:
         return self._typed(section, key, int, "integer")
 
     def _float(self, section: str, key: str) -> float | None:
-        return self._typed(
-            section, key, lambda s: math.inf if s == "inf" else float(s), "number"
-        )
+        return self._typed(section, key, float, "number")  # float() reads "inf" itself
 
     def _float_list(self, section: str, key: str) -> list[float] | None:
-        return self._typed(
-            section,
-            key,
-            lambda s: [math.inf if t.strip() == "inf" else float(t) for t in s.split(",")],
-            "comma-separated numbers",
-        )
+        return self._typed(section, key, lambda s: [float(t) for t in s.split(",")],
+                           "comma-separated numbers")
 
     def _int_list(self, section: str, key: str) -> list[int] | None:
         return self._typed(

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from helpers import (
     dense_kronecker_forms,
@@ -265,6 +266,27 @@ class TestUpperBound:
         assert np.isfinite(finite)
         # the noise-limited matched bound: ps <= 1, pn = 1/snr
         assert finite >= 10.0 * self.cfg.Q / self.cfg.N
+
+    def test_large_finite_snr_is_finite(self):
+        # pi >= ||chi||^2/snr > 0, however far below power_ratio's floor it is
+        value = upper_bound(build_kronecker_system(self.cfg, PathList.ideal()), snr=1e13)
+        assert math.isfinite(value)
+        assert value >= 1e13 * self.cfg.Q / self.cfg.N
+
+    def test_singular_interference_survives_whitening(self):
+        # A + B keeps eigenvalues near 1e-11 of its largest here; whitening by
+        # them left the winning chi with interference above power_ratio's
+        # floor although B is singular on the range.
+        cfg = LatticeConfig(N=12, Q=2)
+        ch = SeparableChannel(K=2, b=0.5, delays=[0, 5], Bd=0.004329793935329396)
+        sys_ = build_kronecker_system(cfg, ch, phi_offset=-1, phi_length=20,
+                                      psi_offset=-4, psi_length=17)
+        with pytest.raises(SingularInterferenceError):
+            upper_bound(sys_)
+        a = scipy.linalg.block_diag(*sys_.a_matrix)
+        b = scipy.linalg.block_diag(*sys_.b_matrix)
+        for snr in (10.0, 1000.0):
+            assert upper_bound(sys_, snr) == pytest.approx(dense_upper_bound(a, b, snr), rel=1e-10)
 
     def test_bound_error_names_the_remedy(self):
         sys_ = build_kronecker_system(self.cfg, PathList.ideal())
