@@ -20,9 +20,10 @@ diagonal (the cross-lag entries are structural zeros).  The block of lag
 ``(i, i')`` depends only on ``d = i - i'``, so it is Hermitian Toeplitz: for
 A the symbol ``r(d) = sum_k pi_k exp(-2j pi nu_k Ts d)`` over the paths at
 the lag's delay, for B ``Q [d = 0 mod Q]`` times that sum over every delay
-congruent to it mod N, minus A's.  A separable channel enters as tap power
-times J0.  The bound is the largest top eigenvalue of the per-lag problems,
-each of size at most ``min(L_phi, L_psi)``.
+congruent to it mod N, minus A's.  Every channel enters through its Doppler
+nodes, so a separable channel's taps carry J0 to 1e-14.  The bound is the
+largest top eigenvalue of the per-lag problems, each of size at most
+``min(L_phi, L_psi)``.
 
 The construction is pinned down by the identity
 ``kronecker_quotient(sys, tx, rx) == sir(tx, rx)`` for every pair embedded in
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import PathList, SeparableChannel
+from .channel import PathList, SeparableChannel, doppler_correlation
 from .lattice import LatticeConfig, Waveform
 from .sinr import power_ratio
 
@@ -107,13 +108,12 @@ def _lag_rows(lags: np.ndarray, l_phi: int, l_psi: int) -> tuple[np.ndarray, np.
 
 
 def _delay_autocorrelation(ch: PathList | SeparableChannel, d: np.ndarray) -> np.ndarray:
-    """``sum_k pi_k exp(-2j pi nu_k Ts d)`` over the paths of each distinct delay."""
-    if isinstance(ch, SeparableChannel):
-        return np.outer(ch.powers(), ch.doppler_autocorrelation(d))
+    """``sum_k pi_k mean exp(-j theta_k d)`` over the taps of each distinct delay,
+    real when every tap's Doppler spectrum is symmetric."""
     delays, group = np.unique(ch.delays, return_inverse=True)
-    rho = np.zeros((delays.size, d.size), dtype=np.complex128)
-    phase = np.exp(-2j * np.pi * np.outer(ch.dopplers * ch.Ts, d))
-    np.add.at(rho, group, ch.powers[:, None] * phase)
+    per_tap = ch.powers[:, None] * doppler_correlation(-ch.doppler_nodes(d.size), d)
+    rho = np.zeros((delays.size, d.size), dtype=per_tap.dtype)
+    np.add.at(rho, group, per_tap)
     return rho
 
 
@@ -147,7 +147,7 @@ def build_kronecker_system(
         default window lengths ``L_phi``/``L_psi``.
     ch : PathList or SeparableChannel
         Discrete channel paths, summed per delay, or a separable channel,
-        whose taps carry the Jakes autocorrelation J0 in closed form.
+        whose taps carry the Jakes autocorrelation J0 through its nodes.
     phi_offset, phi_length, psi_offset, psi_length : int, optional
         Support windows for the two prototypes.  The default transmit window
         is the optimizer's: length ``cfg.L_phi`` centered so that

@@ -3,13 +3,19 @@
 Two representations of the scattering function S(p, nu):
 
 * :class:`PathList` — explicit discrete paths (delay in samples, Doppler in
-  Hz, power), the general form used by the kernel builder and the
-  Monte-Carlo estimator.
+  Hz, power), the general form; the Monte-Carlo estimator simulates it.
 * :class:`SeparableChannel` — truncated exponential delay profile times a
-  Jakes Doppler density of spread Bd; kernels use its closed-form
-  autocorrelation J0(pi*Bd*Ts*lag) directly, and :meth:`to_pathlist`
+  Jakes Doppler density of spread Bd; :meth:`~SeparableChannel.to_pathlist`
   discretizes the Doppler density into equiprobable quantiles when explicit
   paths are needed.
+
+The evaluators (kernels, bound, closed form) see both through one interface:
+``delays`` and ``powers`` per tap, and ``doppler_nodes(L)``, per-sample
+angular Dopplers theta whose mean of exp(j theta r) is the tap's time
+autocorrelation at every lag |r| < L (:func:`doppler_correlation`).  A path
+list has one exact node per path, shape (K, 1); a separable channel shares
+the Gauss-Chebyshev nodes of its Jakes density (:func:`jakes_nodes`) among
+all taps, shape (1, G), whose mean is J0(pi Bd Ts r) to 1e-14.
 
 Path amplitudes are centered decorrelated complex Gaussians with
 E|h_k|^2 = pi_k and total power sum(pi_k) = 1.
@@ -17,12 +23,15 @@ E|h_k|^2 = pi_k and total power sum(pi_k) = 1.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import j0
+from scipy.special import jv
 
-__all__ = ["PathList", "SeparableChannel", "jakes_density"]
+__all__ = ["PathList", "SeparableChannel", "doppler_correlation", "jakes_density",
+           "jakes_nodes"]
 
 _POWER_TOL = 1e-12
 
@@ -35,6 +44,41 @@ def jakes_density(nu, Bd: float) -> np.ndarray:
     x = 2.0 * nu[inside] / Bd
     out[inside] = 2.0 / (np.pi * Bd * np.sqrt(1.0 - x * x))
     return out
+
+
+def _jakes_quantiles(Bd: float, G: int) -> np.ndarray:
+    """The G equiprobable Jakes Dopplers (Bd/2) sin(pi (2i+1-G)/(2G)), which are
+    also the Gauss-Chebyshev nodes of its density."""
+    return (Bd / 2.0) * np.sin(np.pi * (2 * np.arange(G) + 1 - G) / (2 * G))
+
+
+@functools.lru_cache(maxsize=64)
+def jakes_nodes(bd_ts: float, L: int) -> np.ndarray:
+    """Per-sample angular Dopplers theta_i of the fewest Gauss-Chebyshev nodes
+    whose mean of exp(j theta_i r) is J0(pi Bd Ts r) to 1e-14 for |r| < L.
+
+    The truncation error is 2 |J_2G(pi Bd Ts (L - 1))| at most; it is held to
+    half the target, which leaves the rest to the rounding of the mean.  The
+    result is cached and read-only: kernel assembly asks for it twice per pair.
+    """
+    x = math.pi * bd_ts * (L - 1)
+    G = 1
+    while 2.0 * abs(jv(2 * G, x)) > 5e-15:
+        G += 1
+    nodes = 2.0 * math.pi * _jakes_quantiles(bd_ts, G)
+    nodes.flags.writeable = False
+    return nodes
+
+
+def doppler_correlation(nodes: np.ndarray, lags) -> np.ndarray:
+    """Mean over each row of ``nodes`` of exp(j theta r) at the given lags,
+    shape (rows, len(lags)).
+
+    A symmetric node set, as every Jakes row is, has a real mean; its rounding
+    dust is dropped so that real spectra give real (cheaper) matrices.
+    """
+    phase = np.exp(1j * nodes[:, :, None] * np.asarray(lags, dtype=float))
+    return np.real_if_close(phase.mean(axis=1))
 
 
 @dataclass(frozen=True)
@@ -99,11 +143,9 @@ class PathList:
     def max_delay(self) -> int:
         return int(self.delays.max())
 
-    def autocorrelation(self, lag) -> np.ndarray:
-        """sum_k pi_k exp(2j pi nu_k Ts lag) — the channel time autocorrelation."""
-        lag = np.asarray(lag, dtype=float)
-        phase = np.exp(2j * np.pi * np.outer(self.dopplers * self.Ts, lag))
-        return self.powers @ phase
+    def doppler_nodes(self, L: int) -> np.ndarray:
+        """One node per path, 2 pi nu_k Ts, shape (K, 1): exact at every lag."""
+        return (2.0 * np.pi * self.Ts * self.dopplers)[:, None]
 
 
 @dataclass(frozen=True)
@@ -181,15 +223,16 @@ class SeparableChannel:
         """B_d * T_m."""
         return self.Bd * self.Tm
 
+    @property
     def powers(self) -> np.ndarray:
         """Truncated exponential profile pi_k = (1-b) b^k / (1-b^K); sums to 1 exactly."""
         k = np.arange(self.K)
         return (1.0 - self.b) * self.b**k / (1.0 - self.b**self.K)
 
-    def doppler_autocorrelation(self, lag) -> np.ndarray:
-        """J0(pi*Bd*Ts*lag): inverse Fourier transform of the Jakes density."""
-        lag = np.asarray(lag, dtype=float)
-        return j0(np.pi * self.Bd * self.Ts * lag)
+    def doppler_nodes(self, L: int) -> np.ndarray:
+        """The Jakes nodes of Bd Ts shared by all taps, shape (1, G): their mean
+        phase is J0(pi Bd Ts r) to 1e-14 for |r| < L."""
+        return jakes_nodes(self.Bd * self.Ts, L)[None, :]
 
     def to_pathlist(self, doppler_grid_size: int = 64) -> PathList:
         """Discretize the Jakes density into equiprobable quantile frequencies.
@@ -203,10 +246,8 @@ class SeparableChannel:
             raise ValueError(f"doppler_grid_size must be >= 1, got {doppler_grid_size}")
         if self.Bd == 0.0:
             G = 1
-        i = np.arange(G)
-        nus = (self.Bd / 2.0) * np.sin(np.pi * (2 * i + 1 - G) / (2 * G))
-        taps = self.powers()
+        nus = _jakes_quantiles(self.Bd, G)
         return PathList.from_paths(
-            [(d, nu, pi / G) for d, pi in zip(self.delays, taps) for nu in nus],
+            [(d, nu, pi / G) for d, pi in zip(self.delays, self.powers) for nu in nus],
             Ts=self.Ts,
         )

@@ -12,17 +12,18 @@ Entries follow the quadratic-form convention
 
     KS(p, q) = sum_k pi_k w(p - p_k) conj(w(q - p_k)) rho_k(p - q),
 
-with rho_k(r) = exp(2j pi nu_k Ts r) for explicit paths and the closed-form
-Jakes autocorrelation rho(r) = J0(pi Bd Ts r) for separable channels.  The
+with rho_k(r) the mean of exp(j theta r) over the tap's Doppler nodes
+(:meth:`~pops.channel.PathList.doppler_nodes`): exp(2j pi nu_k Ts r) for an
+explicit path, J0(pi Bd Ts r) to 1e-14 for a separable channel.  The
 subcarrier sum in KI is folded analytically through
 sum_{m=0}^{Q-1} exp(2j pi m r / Q) = Q * [r = 0 mod Q]; the remaining lattice
 sum over time shifts n runs over the finitely many terms with support overlap.
 
 No L x L product is formed:
 
-* KS = C C^H with the factor C (L x r): per path, the shifted pulse times its
-  Doppler phase; for a separable channel, at G Gauss-Chebyshev Dopplers
-  (:func:`jakes_nodes`, G = 6-7 at the paper's spreads), so r = K G, or L via a
+* KS = C C^H with the factor C (L x r): per tap, the shifted pulse times the
+  phase of each of its G Doppler nodes over sqrt(G) (G = 1 for explicit
+  paths, G = 6-7 Jakes nodes at the paper's spreads), so r = K G, or L via a
   QR when K G > L (Doppler spreads near the sample rate).
 * T = KS + KIN, KIN = KI + ||w||^2/snr I, is zero off the diagonals r = 0
   (mod Q): it is stored as its Q residue blocks T[c, a, b] = T(c + a Q, c + b Q),
@@ -43,9 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import toeplitz
-from scipy.special import j0, jv
 
-from .channel import PathList, SeparableChannel
+from .channel import doppler_correlation
 from .lattice import LatticeConfig, Waveform
 
 __all__ = ["KernelMatrix", "build_ks", "build_ki", "build_ks_kin", "best_window_start"]
@@ -108,15 +108,6 @@ def from_comb(xc: np.ndarray, L: int) -> np.ndarray:
     return xc.swapaxes(0, 1).reshape((-1,) + xc.shape[2:])[:L]
 
 
-def _path_params(ch, sign: int):
-    """(signed delays, signed per-sample Doppler cycles or None, powers, Bd*Ts or None)."""
-    if isinstance(ch, PathList):
-        return sign * ch.delays, sign * ch.dopplers * ch.Ts, ch.powers, None
-    if isinstance(ch, SeparableChannel):
-        return sign * ch.delays, None, ch.powers(), ch.Bd * ch.Ts
-    raise TypeError(f"unsupported channel type {type(ch).__name__}")
-
-
 def best_window_start(w: Waveform, ch, L_out: int, sign: int = 1) -> int:
     """Start of the length-L_out window maximizing the useful-kernel trace.
 
@@ -126,43 +117,25 @@ def best_window_start(w: Waveform, ch, L_out: int, sign: int = 1) -> int:
     discriminate; maximizing the useful trace simultaneously minimizes the
     interference trace of the window.)
     """
-    delays, _, powers, _ = _path_params(ch, sign)
+    delays = sign * ch.delays
     n = len(w)
     energy = np.abs(w.samples) ** 2
     cum = np.concatenate(([0.0], np.cumsum(energy)))
     d_min, d_max = int(delays.min()), int(delays.max())
     s_vals = np.arange(w.offset + d_min - L_out + 1, w.offset + n + d_max)
     trace = np.zeros(s_vals.size)
-    for d, pi_k in zip(delays, powers):
+    for d, pi_k in zip(delays, ch.powers):
         lo = np.clip(s_vals - int(d) - w.offset, 0, n)
         hi = np.clip(s_vals - int(d) + L_out - w.offset, 0, n)
         trace += pi_k * (cum[hi] - cum[lo])
     return int(s_vals[int(np.argmax(trace))])
 
 
-def jakes_nodes(bd_ts: float, L: int) -> np.ndarray:
-    """Per-sample angular Dopplers theta_i of the fewest Gauss-Chebyshev nodes
-    whose mean of exp(j theta_i r) is J0(pi Bd Ts r) to 1e-14 for |r| < L.
-
-    The truncation error is 2 |J_2G(pi Bd Ts (L - 1))| at most; it is held to
-    half the target, which leaves the rest to the rounding of the mean.
-    """
-    x = math.pi * bd_ts * (L - 1)
-    G = 1
-    while 2.0 * abs(jv(2 * G, x)) > 5e-15:
-        G += 1
-    return math.pi * bd_ts * np.cos(np.pi * (2 * np.arange(G) + 1) / (2 * G))
-
-
-def _rows(w: Waveform, s: int, L: int, shifts: np.ndarray, path: np.ndarray, params) -> np.ndarray:
-    """Rows sqrt(pi_k) w(s + p - t) [exp(2j pi nu_k Ts p) if explicit] for p < L, k = path[i]."""
-    _, nutilde, powers, _ = params
+def _rows(w: Waveform, s: int, L: int, shifts: np.ndarray) -> np.ndarray:
+    """Rows w(s + p - t) for p < L, one per shift t."""
     padded = np.concatenate((np.zeros(L), w.samples, np.zeros(L)))
     idx = (s - w.offset + L) - shifts[:, None] + np.arange(L)
-    rows = padded[np.clip(idx, 0, padded.size - 1)] * np.sqrt(powers[path])[:, None]
-    if nutilde is None:
-        return rows
-    return rows * np.exp(2j * np.pi * np.outer(nutilde[path], np.arange(L)))
+    return padded[np.clip(idx, 0, padded.size - 1)]
 
 
 def build_ks(w: Waveform, ch, L_out: int, window_start: int | None = None,
@@ -175,12 +148,10 @@ def build_ks(w: Waveform, ch, L_out: int, window_start: int | None = None,
     if L_out < 1:
         raise ValueError(f"L_out must be >= 1, got {L_out}")
     s = best_window_start(w, ch, L_out, sign) if window_start is None else int(window_start)
-    params = _path_params(ch, sign)
-    rows = _rows(w, s, L_out, params[0], np.arange(len(params[0])), params)
-    if (bd_ts := params[3]) is not None:
-        theta = jakes_nodes(bd_ts, L_out)
-        phase = np.exp(1j * np.outer(theta, np.arange(L_out))) / math.sqrt(theta.size)
-        rows = (rows[:, None, :] * phase).reshape(-1, L_out)
+    rows = _rows(w, s, L_out, sign * ch.delays) * np.sqrt(ch.powers)[:, None]
+    nodes = sign * ch.doppler_nodes(L_out)
+    phase = np.exp(1j * nodes[:, :, None] * np.arange(L_out)) / math.sqrt(nodes.shape[1])
+    rows = (rows[:, None, :] * phase).reshape(-1, L_out)
     if len(rows) > L_out:  # more columns than samples: Doppler spreads near the sample rate
         rows = np.linalg.qr(rows, mode="r")  # C^T = Q R gives C C^H = R^T conj(R)
     return KernelMatrix(rows.T, sign, s)
@@ -190,19 +161,24 @@ def _total(w: Waveform, ch, cfg: LatticeConfig, ks: KernelMatrix,
            noise: float = 0.0) -> KernelMatrix:
     """T = KS + KI + noise I on the window of ks, as comb blocks: the total over
     lattice shifts, plus noise on the window's samples (not on the padding)."""
-    params = delays, _, _, bd_ts = _path_params(ch, ks.sign)
     if abs(ch.Ts - cfg.Ts) > 0:
         raise ValueError(f"channel Ts={ch.Ts} disagrees with lattice Ts={cfg.Ts}")
     L, s, N = ks.L, ks.window_start, cfg.N
+    delays = ks.sign * ch.delays
+    nodes = ks.sign * ch.doppler_nodes(L)
     # Shift d + nN overlaps [s, s+L) for n in [n_lo, n_hi].
     n_lo = (s - delays - w.end) // N + 1
     n_hi = -((w.offset - s + delays - L) // N) - 1
     path = np.repeat(np.arange(len(delays)), np.maximum(n_hi - n_lo + 1, 0))
     n = n_lo[path] + np.arange(path.size) - np.searchsorted(path, path)
-    u = to_comb(_rows(w, s, L, delays[path] + n * N, path, params).T, cfg.Q)  # (Q, m, J)
+    rows = _rows(w, s, L, delays[path] + n * N) * np.sqrt(ch.powers[path])[:, None]
+    if nodes.shape[1] == 1:  # one node per tap phases that tap's rows
+        theta = np.broadcast_to(nodes, (delays.size, 1))[path]
+        rows = rows * np.exp(1j * theta * np.arange(L))
+    u = to_comb(rows.T, cfg.Q)  # (Q, m, J)
     blocks = cfg.Q * (u @ u.conj().swapaxes(1, 2))
-    if bd_ts:
-        blocks *= toeplitz(j0(np.pi * bd_ts * cfg.Q * np.arange(u.shape[1])))
+    if nodes.shape[1] > 1:  # a node row shared by all taps: its mean phase at lags Q k
+        blocks *= toeplitz(doppler_correlation(nodes, cfg.Q * np.arange(u.shape[1]))[0])
     if noise:
         valid = to_comb(np.ones(L), cfg.Q)
         blocks += noise * valid[:, :, None] * np.eye(valid.shape[1])

@@ -12,9 +12,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import j0
 
-from .channel import PathList, SeparableChannel
+from .channel import doppler_correlation
 from .kernels import build_ks_kin
 from .lattice import LatticeConfig, Waveform, inner, lattice_atom, time_reverse
 
@@ -99,36 +98,23 @@ def sinr_time_reversed(tx: Waveform, rx: Waveform, ch, cfg: LatticeConfig,
 def sinr_conventional(cfg: LatticeConfig, ch, snr: float) -> SinrReport:
     """Closed-form SINR of the CP-OFDM pair, any delay profile.
 
-    Each path overlaps the receive rectangle on M_k = clip(N - p_k, 0, Q)
+    Each tap overlaps the receive rectangle on M_k = clip(N - p_k, 0, Q)
     samples and contributes
 
         (pi_k / (N Q)) [M_k + 2 sum_{r=1}^{M_k-1} (M_k - r) Re rho_k(r)]
 
-    to P_S/E, with Re rho_k(r) = J0(pi Bd Ts r) for separable channels and
-    cos(2 pi nu_k Ts r) for explicit paths.  With all delays <= N-Q this
-    telescopes to the familiar (1/N)[1 + sum (2(Q-r)/Q) rho(r)] form.  The
-    conventional pair always satisfies P_S + P_I = E Q/N, so
-    SINR = (P_S/E) / (Q/N - P_S/E + 1/SNR).
+    to P_S/E, with rho_k(r) the mean of exp(j theta r) over the tap's Doppler
+    nodes: cos(2 pi nu_k Ts r) for an explicit path, J0(pi Bd Ts r) for a
+    separable channel.  With all delays <= N-Q this telescopes to the familiar
+    (1/N)[1 + sum (2(Q-r)/Q) rho(r)] form.  The conventional pair always
+    satisfies P_S + P_I = E Q/N, so SINR = (P_S/E) / (Q/N - P_S/E + 1/SNR).
     """
-    if isinstance(ch, SeparableChannel):
-        delays, powers = ch.delays, ch.powers()
-        rho = lambda r: j0(np.pi * ch.Bd * ch.Ts * r)  # noqa: E731
-        rho_k = [rho] * ch.K
-    elif isinstance(ch, PathList):
-        delays, powers = ch.delays, ch.powers
-        rho_k = [
-            (lambda r, nu=nu: np.cos(2.0 * np.pi * nu * ch.Ts * r)) for nu in ch.dopplers
-        ]
-    else:
-        raise TypeError(f"unsupported channel type {type(ch).__name__}")
     N, Q = cfg.N, cfg.Q
-    ps = 0.0
-    for d, pi_k, rho in zip(delays, powers, rho_k):
-        m = int(np.clip(N - int(d), 0, Q))
-        if m == 0:
-            continue
-        r = np.arange(1, m)
-        ps += pi_k / (N * Q) * (m + 2.0 * np.sum((m - r) * rho(r)))
+    m = np.clip(N - ch.delays, 0, Q)
+    r = np.arange(1, Q)
+    rho = doppler_correlation(ch.doppler_nodes(Q), r).real
+    overlap = m + 2.0 * np.sum(np.maximum(m[:, None] - r, 0) * rho, axis=1)
+    ps = float(np.sum(ch.powers * overlap)) / (N * Q)
     return _report(ps, Q / N - ps, snr)
 
 

@@ -7,8 +7,9 @@ import scipy.linalg
 from scipy.linalg import toeplitz
 from scipy.special import j0
 
-from pops import KernelMatrix, LatticeConfig, PathList, Waveform, normalized, power_ratio
-from pops.kernels import _path_params, best_window_start, to_comb
+from pops import (KernelMatrix, LatticeConfig, PathList, SeparableChannel, Waveform, normalized,
+                  power_ratio)
+from pops.kernels import best_window_start, to_comb
 
 
 def random_pathlist(rng, max_delay, k=3, complex_doppler=True, nu_scale=0.01):
@@ -96,6 +97,14 @@ def _shift_range(w, s, L, d, N):
     return range(n_lo, n_hi + 1)
 
 
+def _oracle_params(ch, sign):
+    """(signed delays, signed per-sample Doppler cycles or None, powers, Bd Ts or None),
+    read off the channel's own fields rather than its Doppler nodes."""
+    if isinstance(ch, SeparableChannel):
+        return sign * ch.delays, None, ch.powers, ch.Bd * ch.Ts
+    return sign * ch.delays, sign * ch.dopplers * ch.Ts, ch.powers, None
+
+
 def _assemble(w, ch, s, L, sign, N):
     """sum_k pi_k [sum_n v_kn v_kn^H] with per-path Doppler phases folded in.
 
@@ -103,7 +112,7 @@ def _assemble(w, ch, s, L, sign, N):
     every lattice shift with support overlap.  For separable channels the
     (real) Jakes autocorrelation is applied by the caller.
     """
-    delays, nutilde, powers, _ = _path_params(ch, sign)
+    delays, nutilde, powers, _ = _oracle_params(ch, sign)
     idx = np.arange(L)
     cols = []
     for k in range(len(powers)):
@@ -131,7 +140,7 @@ def dense_ks(w, ch, L, window_start=None, sign=1):
     """KS as an L x L matrix, J0 applied exactly for a separable channel."""
     s = best_window_start(w, ch, L, sign) if window_start is None else window_start
     M = _assemble(w, ch, s, L, sign, None)
-    bd_ts = _path_params(ch, sign)[3]
+    bd_ts = _oracle_params(ch, sign)[3]
     if bd_ts:
         M = M * _jakes_matrix(bd_ts, L)
     return 0.5 * (M + M.conj().T)
@@ -141,7 +150,7 @@ def dense_ki(w, ch, cfg, L, window_start=None, sign=1):
     """KI as an L x L matrix: the comb-masked total over lattice shifts, minus KS."""
     s = best_window_start(w, ch, L, sign) if window_start is None else window_start
     mask = cfg.Q * _comb_matrix(cfg.Q, L)
-    bd_ts = _path_params(ch, sign)[3]
+    bd_ts = _oracle_params(ch, sign)[3]
     if bd_ts:
         mask = mask * _jakes_matrix(bd_ts, L)
     M = _assemble(w, ch, s, L, sign, cfg.N) * mask - dense_ks(w, ch, L, s, sign)

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 from scipy.special import j0
 
 from pops import LatticeConfig, PathList, SeparableChannel, jakes_density
+from pops.channel import doppler_correlation
 
 
 class TestJakesDensity:
@@ -48,7 +49,8 @@ class TestPathList:
     def test_ideal(self):
         ch = PathList.ideal()
         assert ch.K == 1 and ch.max_delay == 0
-        assert ch.autocorrelation(5) == pytest.approx(1.0)
+        np.testing.assert_array_equal(ch.doppler_nodes(6), [[0.0]])
+        assert ch.powers @ doppler_correlation(ch.doppler_nodes(6), [5]) == pytest.approx(1.0)
 
     def test_autocorrelation_matches_direct_sum(self):
         ch = PathList.from_paths([(0, 0.01, 0.6), (2, -0.03, 0.4)], Ts=2.0)
@@ -56,7 +58,9 @@ class TestPathList:
         want = 0.6 * np.exp(2j * np.pi * 0.01 * 2.0 * lag) + 0.4 * np.exp(
             -2j * np.pi * 0.03 * 2.0 * lag
         )
-        assert ch.autocorrelation(lag) == pytest.approx(want)
+        nodes = ch.doppler_nodes(lag + 1)
+        assert nodes.shape == (2, 1)
+        assert ch.powers @ doppler_correlation(nodes, [lag]) == pytest.approx(want)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -72,7 +76,7 @@ class TestSeparableChannel:
 
     def test_powers_sum_to_one_and_decay(self):
         ch = SeparableChannel.with_uniform_delays(K=8, b=0.5, max_delay=7, Bd=0.01)
-        p = ch.powers()
+        p = ch.powers
         assert p.sum() == pytest.approx(1.0)
         np.testing.assert_allclose(p[1:] / p[:-1], 0.5, rtol=1e-12)
 
@@ -104,11 +108,13 @@ class TestSeparableChannel:
             SeparableChannel(K=2, b=0.5, delays=np.array([3, 1]), Bd=0.0)
 
     def test_doppler_autocorrelation(self):
+        # One node row shared by all taps; its mean phase is the Jakes J0.
         ch = SeparableChannel.with_uniform_delays(K=4, b=0.5, max_delay=3, Bd=0.02, Ts=2.0)
         lags = np.array([0, 5, 13])
-        np.testing.assert_allclose(
-            ch.doppler_autocorrelation(lags), j0(np.pi * 0.02 * 2.0 * lags), rtol=1e-12
-        )
+        nodes = ch.doppler_nodes(14)
+        assert nodes.shape[0] == 1
+        got = np.exp(1j * np.outer(nodes[0], lags)).mean(axis=0)
+        np.testing.assert_allclose(got, j0(np.pi * 0.02 * 2.0 * lags), rtol=1e-12)
 
 
 class TestDopplerDiscretization:
@@ -134,7 +140,8 @@ class TestDopplerDiscretization:
         lags = np.arange(0, 40)
         exact = j0(np.pi * 0.02 * lags)
         for g, tol in [(16, 5e-3), (64, 5e-4), (256, 5e-5)]:
-            approx = ch.to_pathlist(doppler_grid_size=g).autocorrelation(lags).real
+            paths = ch.to_pathlist(doppler_grid_size=g)
+            approx = (paths.powers @ doppler_correlation(paths.doppler_nodes(40), lags)).real
             assert np.max(np.abs(approx - exact)) < tol, g
 
     def test_pathlist_keeps_delay_structure(self):
@@ -143,6 +150,6 @@ class TestDopplerDiscretization:
         got = np.unique(paths.delays)
         np.testing.assert_array_equal(got, ch.delays)
         # per-delay power preserved
-        for d, pk in zip(ch.delays, ch.powers()):
+        for d, pk in zip(ch.delays, ch.powers):
             mask = paths.delays == d
             assert paths.powers[mask].sum() == pytest.approx(pk, rel=1e-12)

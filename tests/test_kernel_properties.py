@@ -26,7 +26,7 @@ from pops import (
     sinr_role_swapped,
     sinr_time_reversed,
 )
-from pops.kernels import jakes_nodes
+from pops.channel import doppler_correlation, jakes_nodes
 
 IDEAL = PathList.ideal()
 PROPERTY = settings(max_examples=30, deadline=timedelta(seconds=5), derandomize=True,
@@ -140,3 +140,22 @@ def test_node_rule_reproduces_j0(L):
         theta = jakes_nodes(bd_ts, L)
         got = np.exp(1j * np.outer(theta, lags)).mean(axis=0)
         assert np.abs(got - j0(np.pi * bd_ts * lags)).max() <= 1e-14, (L, product, theta.size)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_node_mean_of_paths_is_the_direct_sum(seed):
+    # Eight paths on three delays, so several Dopplers share a delay; a path
+    # list's one node per path is exact at every lag, negative ones included.
+    rng = np.random.default_rng(seed)
+    delays = rng.integers(0, 3, size=8)
+    nus = rng.uniform(-0.05, 0.05, size=8)
+    weights = rng.uniform(0.1, 1.0, size=8)
+    ts = rng.uniform(0.5, 1.0)
+    ch = PathList.from_paths(zip(delays, nus, weights / weights.sum()), Ts=ts)
+    assert np.unique(ch.delays).size < ch.K
+    L = 64
+    lags = np.arange(1 - L, L)
+    got = ch.powers @ doppler_correlation(ch.doppler_nodes(L), lags)
+    want = sum(pk * np.exp(2j * np.pi * nu * ch.Ts * lags)
+               for nu, pk in zip(ch.dopplers, ch.powers))
+    assert np.abs(got - want).max() <= 1e-14

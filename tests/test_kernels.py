@@ -40,7 +40,7 @@ def _path_terms(ch):
         ]
     return [
         (int(d), (lambda r: j0(np.pi * ch.Bd * ch.Ts * r)), pk)
-        for d, pk in zip(ch.delays, ch.powers())
+        for d, pk in zip(ch.delays, ch.powers)
     ]
 
 

@@ -2,8 +2,9 @@
 
 ``tests/data/sweep_<kind>.csv`` and its ``.meta.json`` sidecar hold one run of
 each sweep kind on the inputs in ``CASES``.  A fresh run on those inputs must
-write the committed metadata, and replaying the committed sidecar must give
-the fresh run's series.  The fixtures were written by running this file as a
+write the committed metadata and reproduce the committed series to 1e-11
+relative (NaN and infinities exactly), and replaying the committed sidecar
+must give the fresh run's series.  The fixtures were written by running this file as a
 script (``PYTHONPATH=src python tests/test_sidecars.py``); rewriting them
 moves the pinned format.
 """
@@ -84,6 +85,8 @@ def test_committed_sidecar(kind):
     np.testing.assert_array_equal(again.axis_values, committed.axis_values)
     for name in fresh.series:
         np.testing.assert_array_equal(again.series[name], fresh.series[name])
+        np.testing.assert_allclose(fresh.series[name], committed.series[name],
+                                   rtol=1e-11, atol=0, err_msg=name)
 
 
 if __name__ == "__main__":

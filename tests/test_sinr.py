@@ -97,6 +97,28 @@ class TestConventionalClosedForm:
             r = sinr_conventional(cfg, ch, 10.0)
             assert r.ps + r.pi == pytest.approx(cfg.Q / cfg.N, rel=1e-12), trial
 
+    def test_quantile_paths_match_separable_on_criterion_lattices(self):
+        # to_pathlist puts 64 Dopplers on every delay; the closed form sums
+        # them path by path and must land on the separable channel's J0 value.
+        for cfg in (LatticeConfig(N=20, Q=16), LatticeConfig(N=12, Q=8),
+                    LatticeConfig(N=36, Q=32)):
+            channels = [SeparableChannel.from_spread_product(cfg, v)
+                        for v in (1e-3, 3e-3, 0.01, 0.03, 0.1)]
+            channels.append(SeparableChannel.with_uniform_delays(
+                K=6, b=0.6, max_delay=cfg.guard + 5, Bd=0.003))
+            for ch in channels:
+                want = sinr_conventional(cfg, ch, 10.0).sinr
+                got = sinr_conventional(cfg, ch.to_pathlist(64), 10.0).sinr
+                assert got == pytest.approx(want, rel=1e-12), (cfg, ch)
+
+    def test_two_dopplers_on_one_delay_past_the_guard(self):
+        cfg = LatticeConfig(N=10, Q=8)  # guard of 2 samples
+        ch = PathList.from_paths([(0, 0.0, 0.4), (5, -0.03, 0.35), (5, 0.02, 0.25)])
+        want = sinr_conventional(cfg, ch, 10.0)
+        got = sinr(make_conventional_tx(cfg), make_conventional_rx(cfg), ch, cfg, 10.0)
+        assert got.sinr == pytest.approx(want.sinr, rel=1e-8)
+        assert got.ps == pytest.approx(want.ps, rel=1e-8)
+
     def test_delay_beyond_symbol_kills_useful_power(self):
         cfg = LatticeConfig(N=10, Q=8)
         ch = PathList.from_paths([(25, 0.0, 1.0)])  # past the whole symbol
