@@ -72,13 +72,8 @@ def jakes_nodes(bd_ts: float, L: int) -> np.ndarray:
 
 def doppler_correlation(nodes: np.ndarray, lags) -> np.ndarray:
     """Mean over each row of ``nodes`` of exp(j theta r) at the given lags,
-    shape (rows, len(lags)).
-
-    A symmetric node set, as every Jakes row is, has a real mean; its rounding
-    dust is dropped so that real spectra give real (cheaper) matrices.
-    """
-    phase = np.exp(1j * nodes[:, :, None] * np.asarray(lags, dtype=float))
-    return np.real_if_close(phase.mean(axis=1))
+    shape (rows, len(lags))."""
+    return np.exp(1j * nodes[:, :, None] * np.asarray(lags, dtype=float)).mean(axis=1)
 
 
 @dataclass(frozen=True)

@@ -137,6 +137,17 @@ class TestSystemStructure:
                 lo = np.linalg.eigvalsh(blocks).min()
                 assert lo > -1e-10 * max(np.abs(blocks).max(), 1.0), trial
 
+    def test_symmetric_doppler_spectra_give_real_blocks(self):
+        # A Jakes tap, and every quantile grid of one, has a real symbol, so its
+        # blocks take half the memory; an asymmetric path list stays complex.
+        cfg = LatticeConfig(N=10, Q=8)
+        ch = SeparableChannel.from_spread_product(cfg, 0.01)
+        for symmetric in (ch, ch.to_pathlist(16), PathList.ideal()):
+            sys_ = build_kronecker_system(cfg, symmetric)
+            assert sys_.a_matrix.dtype == sys_.b_matrix.dtype == np.float64
+        skew = PathList.from_paths([(0, 0.0, 0.5), (2, 0.03, 0.5)])
+        assert build_kronecker_system(cfg, skew).b_matrix.dtype == np.complex128
+
     def test_dimension_property(self):
         cfg = LatticeConfig(N=8, Q=6)
         sys_ = build_kronecker_system(cfg, PathList.ideal(),
