@@ -106,6 +106,9 @@ class TestConventionalClosedForm:
                         for v in (1e-3, 3e-3, 0.01, 0.03, 0.1)]
             channels.append(SeparableChannel.with_uniform_delays(
                 K=6, b=0.6, max_delay=cfg.guard + 5, Bd=0.003))
+            if cfg.N == 20:  # past the symbol itself
+                channels.append(SeparableChannel.with_uniform_delays(
+                    K=6, b=0.6, max_delay=22, Bd=0.003))
             for ch in channels:
                 want = sinr_conventional(cfg, ch, 10.0).sinr
                 got = sinr_conventional(cfg, ch.to_pathlist(64), 10.0).sinr
