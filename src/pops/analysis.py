@@ -30,7 +30,7 @@ from .channel import PathList, SeparableChannel
 from .codec import Channel, decode, encode
 from .lattice import LatticeConfig, Waveform, make_conventional_rx, make_conventional_tx, modulate, shift
 from .optimizer import PopsConfig, PopsResult, run_pops
-from .sinr import sinr, sinr_conventional
+from .sinr import _received, sinr, sinr_conventional
 
 __all__ = [
     "SweepResult",
@@ -311,30 +311,24 @@ def _sync_sweep(
 ) -> SweepResult:
     values = [float(v) for v in values]
 
-    def perturbed(rx: Waveform, q: int, v: float) -> Waveform:
+    def series(tx: Waveform, rx: Waveform, cfg: LatticeConfig) -> np.ndarray:
+        # One kernel pair of tx on the union window serves every perturbed rx.
         if kind == "time-sync":
-            return shift(rx, int(round(v)))
-        return modulate(rx, v, q)
+            xs = [shift(rx, int(round(v))) for v in values]
+        else:
+            xs = [modulate(rx, v, cfg.Q) for v in values]
+        return np.array([r.sinr for r in _received(tx, xs, ch, cfg, snr, 1)])
 
-    def point(v: float):
-        row = {
-            "pops": sinr(tx, perturbed(rx, cfg.Q, v), ch, cfg, snr).sinr
-        }
-        for cp in cp_baselines:
-            cfg_cv = LatticeConfig(N=cfg.Q + cp, Q=cfg.Q, Ts=cfg.Ts)
-            tx_cv, rx_cv = make_conventional_tx(cfg_cv), make_conventional_rx(cfg_cv)
-            row[f"conventional_cp{cp}"] = sinr(
-                tx_cv, perturbed(rx_cv, cfg_cv.Q, v), ch, cfg_cv, snr
-            ).sinr
-        return row
-
-    rows = [point(v) for v in values]
-    names = ["pops"] + [f"conventional_cp{cp}" for cp in cp_baselines]
+    out = {"pops": series(tx, rx, cfg)}
+    for cp in cp_baselines:
+        cfg_cv = LatticeConfig(N=cfg.Q + cp, Q=cfg.Q, Ts=cfg.Ts)
+        out[f"conventional_cp{cp}"] = series(make_conventional_tx(cfg_cv),
+                                             make_conventional_rx(cfg_cv), cfg_cv)
     axis_name = "tau_samples" if kind == "time-sync" else "dfreq_in_F"
     return SweepResult(
         axis_name=axis_name,
         axis_values=np.array(values),
-        series={name: np.array([r[name] for r in rows]) for name in names},
+        series=out,
         metadata=encode({
             "sweep": kind,
             "cfg": cfg,
@@ -358,8 +352,10 @@ def sweep_time_sync(
 ) -> SweepResult:
     """SINR under a receive-side timing error of tau samples, no reoptimization.
 
-    Evaluates ``sinr(tx_opt, shift(rx_opt, tau))`` per tau, with conventional
-    pairs at N = Q + CP perturbed identically as baselines.
+    Gives ``sinr(tx_opt, shift(rx_opt, tau))`` for every tau, with conventional
+    pairs at N = Q + CP perturbed identically as baselines.  A shift only
+    slides the receiver along the global axis, so one kernel pair per pair,
+    built on the union window of the shifted receivers, serves every tau.
     """
     return _sync_sweep("time-sync", result.tx_opt, result.rx_opt, ch, cfg, tau_values, snr,
                        cp_baselines)
@@ -377,7 +373,8 @@ def sweep_freq_sync(
 
     The offset is applied as the per-sample phase ramp exp(2j pi df q / Q) on
     the receive prototype (a fractional subcarrier modulation), again without
-    reoptimization.
+    reoptimization.  The offset changes the receiver, not the kernels, so one
+    kernel pair per pair on the receiver's own window serves every offset.
     """
     return _sync_sweep("freq-sync", result.tx_opt, result.rx_opt, ch, cfg, dfreq_values, snr,
                        cp_baselines)

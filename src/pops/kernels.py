@@ -30,7 +30,8 @@ No L x L product is formed:
   stacked and zero-padded to (Q, m, m) with m = ceil(L / Q).  The noise term is
   added here, in :func:`build_ks_kin`, and nowhere else; KI is T - C C^H at snr=inf.
 
-Assembly costs O(L (r + J m)) for J lattice shifts, a half-step O(L (m^2 + m r + r^2) + r^3).
+Assembly costs O(L (r + J m)) for J lattice shifts, a half-step O(L (m^2 + m r + r^2) + r^3),
+and the forms of P receivers on the window (:meth:`KernelMatrix.forms`) O(L r P + Q m^2 P).
 
 The S(-p, -nu) orientation (sign=-1) negates delays and Dopplers; it appears
 in the role-swap identities.  The optimizer's pong half-step does not use it:
@@ -58,7 +59,9 @@ class KernelMatrix:
     Without a factor it is KS, stored as its factor C (L x r) in ``data``:
     KS = C C^H.  With one it is the denominator kernel: ``data`` holds the comb
     blocks (Q, m, m) of T = KS + KIN and ``factor`` the C of that KS, so that
-    KIN = T - C C^H.
+    KIN = T - C C^H.  :meth:`forms` reads the quadratic forms of a stack of
+    receivers aligned on the window in one batch; :meth:`quad` is its
+    one-column case.
     """
 
     data: np.ndarray
@@ -84,15 +87,23 @@ class KernelMatrix:
     def L(self) -> int:
         return (self.data if self.factor is None else self.factor).shape[0]
 
+    def forms(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(||C^H x||^2, x^H K x) for every column x of the stack X (L x P).
+
+        For KS both are the same; for the denominator kernel the second is
+        x^H T x - ||C^H x||^2 = x^H KIN x.  One product C^T conj(X) and one
+        batched comb product serve all P columns.
+        """
+        C = self.data if self.factor is None else self.factor
+        ps = np.sum(np.abs(C.T @ X.conj()) ** 2, axis=0)
+        if self.factor is None:
+            return ps, ps
+        xc = to_comb(X, self.data.shape[0])  # (Q, m, P)
+        return ps, np.real(np.sum(xc.conj() * (self.data @ xc), axis=(0, 1))) - ps
+
     def quad(self, w: Waveform) -> float:
         """Real quadratic form x^H K x with x = w restricted to the window."""
-        x = w.dense(self.window_start, self.L)
-        C = self.data if self.factor is None else self.factor
-        ps = float(np.sum(np.abs(C.T @ x.conj()) ** 2))
-        if self.factor is None:
-            return ps
-        xc = to_comb(x, self.data.shape[0])
-        return float(np.real(np.vdot(xc, (self.data @ xc[..., None])[..., 0]))) - ps
+        return float(self.forms(w.dense(self.window_start, self.L)[:, None])[1][0])
 
 
 def to_comb(x: np.ndarray, Q: int) -> np.ndarray:

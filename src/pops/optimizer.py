@@ -98,7 +98,8 @@ def half_step(ks: KernelMatrix, kin: KernelMatrix,
     if keep.sum() < L and notes is not None:
         notes.append(f"KS + KIN singular (rank {int(keep.sum())} of {L}); solved on its range")
     w = phase_fixed(normalized(Waveform(vec, offset=ks.window_start)))
-    return w, power_ratio(ks.quad(w), kin.quad(w))
+    ps, pin = kin.forms(w.dense(kin.window_start, L)[:, None])
+    return w, power_ratio(float(ps[0]), float(pin[0]))
 
 
 # One-entry solver table: the benchmark's tracer finds the half-step here.

@@ -60,20 +60,29 @@ def _report(ps: float, pi: float, snr: float) -> SinrReport:
                       sir=power_ratio(ps, pi), snr=snr)
 
 
-def _received(w: Waveform, x: Waveform, ch, cfg: LatticeConfig, snr: float,
-              sign: int) -> SinrReport:
-    """Report for x received against the sign-oriented kernels of w."""
-    if w.energy == 0 or x.energy == 0:
+def _received(w: Waveform, xs, ch, cfg: LatticeConfig, snr: float,
+              sign: int) -> list[SinrReport]:
+    """Reports for each x in xs received against the sign-oriented kernels of w.
+
+    Kernel entries depend only on global sample indices, so one pair built on
+    the union window of the receivers serves all of them.
+    """
+    if w.energy == 0 or any(x.energy == 0 for x in xs):
         raise ValueError("waveforms must have nonzero energy")
+    if not xs:
+        return []
+    start = min(x.offset for x in xs)
+    L = max(x.end for x in xs) - start
     # At snr=inf the KIN of the pair is the bare KI; noise is added in _report.
-    ks, ki = build_ks_kin(w, ch, cfg, len(x), math.inf, window_start=x.offset, sign=sign)
-    scale = w.energy * x.energy
-    return _report(ks.quad(x) / scale, ki.quad(x) / scale, snr)
+    _, ki = build_ks_kin(w, ch, cfg, L, math.inf, window_start=start, sign=sign)
+    ps, pi = ki.forms(np.stack([x.dense(start, L) for x in xs], axis=1))
+    scale = w.energy * np.array([x.energy for x in xs])
+    return [_report(a, b, snr) for a, b in zip(ps / scale, pi / scale)]
 
 
 def sinr(tx: Waveform, rx: Waveform, ch, cfg: LatticeConfig, snr: float) -> SinrReport:
     """SINR of the pair (tx, rx): rx^H KS rx / rx^H (KI + ||tx||^2/snr I) rx."""
-    return _received(tx, rx, ch, cfg, snr, 1)
+    return _received(tx, [rx], ch, cfg, snr, 1)[0]
 
 
 def sinr_role_swapped(tx: Waveform, rx: Waveform, ch, cfg: LatticeConfig,
@@ -83,7 +92,7 @@ def sinr_role_swapped(tx: Waveform, rx: Waveform, ch, cfg: LatticeConfig,
     tx acts as the receiver against the S(-p,-nu)-oriented kernels of rx;
     equals sinr(tx, rx, ...) identically.
     """
-    return _received(rx, tx, ch, cfg, snr, -1)
+    return _received(rx, [tx], ch, cfg, snr, -1)[0]
 
 
 def sinr_time_reversed(tx: Waveform, rx: Waveform, ch, cfg: LatticeConfig,

@@ -1,5 +1,6 @@
 """Spectral analysis, parameter sweeps, CSV persistence, and replay."""
 
+import importlib
 import json
 import math
 
@@ -13,17 +14,20 @@ from pops import (
     SeparableChannel,
     SweepResult,
     Waveform,
+    build_ks_kin,
     initialization_study,
     make_conventional_rx,
     make_conventional_tx,
     make_gaussian_init,
     make_hermite_init,
+    modulate,
     oob_level_db,
     oob_power_fraction,
     psd,
     read_sweep_csv,
     rerun_from_metadata,
     run_pops,
+    shift,
     sinr,
     sinr_conventional,
     sweep_doppler_delay,
@@ -200,10 +204,42 @@ class TestSyncSweeps:
         r = sweep_time_sync(self.res, self.ch, self.cfg, [-2, 0, 2], snr=10.0,
                             cp_baselines=(2,))
         direct = sinr(self.res.tx_opt, self.res.rx_opt, self.ch, self.cfg, 10.0).sinr
-        assert r.series["pops"][1] == direct
+        # A sweep reads all its receivers in one batched product, which rounds
+        # differently from the one-column product of a direct evaluation; the
+        # time sweep's union window also widens every sum.
+        assert r.series["pops"][1] == pytest.approx(direct, rel=1e-12)
         f = sweep_freq_sync(self.res, self.ch, self.cfg, [-0.1, 0.0, 0.1], snr=10.0,
                             cp_baselines=(2,))
-        assert f.series["pops"][1] == direct
+        assert f.series["pops"][1] == pytest.approx(direct, rel=1e-12)
+
+    @pytest.mark.parametrize("sweep, values", [
+        (sweep_time_sync, range(-15, 16)),
+        (sweep_freq_sync, np.linspace(-1.5, 1.5, 13)),
+    ])
+    def test_one_kernel_pair_per_series(self, monkeypatch, sweep, values):
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(args[0])
+            return build_ks_kin(*args, **kwargs)
+
+        monkeypatch.setattr(importlib.import_module("pops.sinr"), "build_ks_kin", counted)
+        r = sweep(self.res, self.ch, self.cfg, list(values), snr=10.0, cp_baselines=(2, 4))
+        assert len(built) == 3 and built[0] is self.res.tx_opt
+        assert all(len(v) == len(values) for v in r.series.values())
+
+    def test_one_value_and_empty_sweeps(self):
+        names = {"pops", "conventional_cp2"}
+        tx, rx = self.res.tx_opt, self.res.rx_opt
+        for sweep, v, perturbed in ((sweep_time_sync, 3.0, shift(rx, 3)),
+                                    (sweep_freq_sync, 0.25, modulate(rx, 0.25, self.cfg.Q))):
+            one = sweep(self.res, self.ch, self.cfg, [v], snr=10.0, cp_baselines=(2,))
+            assert set(one.series) == names and list(one.axis_values) == [v]
+            want = sinr(tx, perturbed, self.ch, self.cfg, 10.0).sinr
+            assert one.series["pops"][0] == pytest.approx(want, rel=1e-12)
+            empty = sweep(self.res, self.ch, self.cfg, [], snr=10.0, cp_baselines=(2,))
+            assert set(empty.series) == names and empty.axis_values.size == 0
+            assert all(s.shape == (0,) for s in empty.series.values())
 
     def test_axes_and_series_names(self):
         r = sweep_time_sync(self.res, self.ch, self.cfg, [0], snr=10.0)

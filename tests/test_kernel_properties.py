@@ -2,8 +2,9 @@
 
 The structured KS factor and comb blocks of T must expand to the dense
 kernels they replaced (``tests/helpers.py``), the half-step must land on the
-dense eigensolver's value, and the SINR must keep its role-swap and
-time-reversal identities.
+dense eigensolver's value, the SINR must keep its role-swap and
+time-reversal identities, and a sync sweep's one kernel per pair must give
+every point the SINR of its own evaluation.
 """
 
 import math
@@ -19,12 +20,19 @@ from helpers import dense_half_step, dense_ki, dense_ks, expand, random_waveform
 from pops import (
     LatticeConfig,
     PathList,
+    PopsResult,
     SeparableChannel,
     build_ks_kin,
     half_step,
+    make_conventional_rx,
+    make_conventional_tx,
+    modulate,
+    shift,
     sinr,
     sinr_role_swapped,
     sinr_time_reversed,
+    sweep_freq_sync,
+    sweep_time_sync,
 )
 from pops.channel import doppler_correlation, jakes_nodes
 
@@ -128,6 +136,58 @@ def test_role_swap_identity(pair):
 def test_time_reversal_identity(pair):
     cfg, ch, tx, rx, snr = pair
     _same_report(sinr(tx, rx, ch, cfg, snr), sinr_time_reversed(tx, rx, ch, cfg, snr))
+
+
+@st.composite
+def sync_sweeps(draw):
+    """A fixed pair, its lattice and channel, CP baselines, snr 10 or inf, and
+    offsets: timing errors out to past the pulse's whole reach (so a shifted
+    receiver overlaps it partly or not at all) and integer or fractional
+    carrier offsets."""
+    n = draw(st.integers(4, 12))
+    cfg = LatticeConfig(N=n, Q=draw(st.integers(2, n)))
+    ch = draw(channels(n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tx = random_waveform(rng, draw(st.integers(1, 2 * n)), offset=draw(st.integers(-n, n)))
+    rx = random_waveform(rng, draw(st.integers(1, 2 * n)), offset=draw(st.integers(-n, n)))
+    reach = len(tx) + len(rx) + int(ch.delays.max()) + 3 * n
+    taus = draw(st.lists(st.integers(-reach, reach), min_size=1, max_size=6, unique=True))
+    dfreqs = draw(st.lists(st.one_of(st.integers(-n, n).map(float), st.floats(-2.0, 2.0)),
+                           min_size=1, max_size=6))
+    cps = draw(st.lists(st.integers(0, n), max_size=2, unique=True))
+    return cfg, ch, tx, rx, taus, dfreqs, cps, draw(st.sampled_from([10.0, math.inf]))
+
+
+def _series_pairs(cfg, tx, rx, cps):
+    """Each sweep series with the lattice and the pair it evaluates."""
+    yield "pops", cfg, tx, rx
+    for cp in cps:
+        c = LatticeConfig(N=cfg.Q + cp, Q=cfg.Q)
+        yield f"conventional_cp{cp}", c, make_conventional_tx(c), make_conventional_rx(c)
+
+
+@PROPERTY
+@given(sync_sweeps())
+def test_sync_sweeps_equal_per_point_sinr(case):
+    cfg, ch, tx, rx, taus, dfreqs, cps, snr = case
+    stub = PopsResult(tx_opt=tx, rx_opt=rx, sinr_trajectory=(), converged=True,
+                      iterations_used=0)
+    sweeps = (
+        (sweep_time_sync(stub, ch, cfg, taus, snr=snr, cp_baselines=cps),
+         lambda w, v, Q: shift(w, int(v))),
+        (sweep_freq_sync(stub, ch, cfg, dfreqs, snr=snr, cp_baselines=cps), modulate),
+    )
+    for result, perturb in sweeps:
+        assert list(result.series) == [name for name, *_ in _series_pairs(cfg, tx, rx, cps)]
+        for name, c, t, r in _series_pairs(cfg, tx, rx, cps):
+            for v, got in zip(result.axis_values, result.series[name], strict=True):
+                want = sinr(t, perturb(r, v, c.Q), ch, c, snr).sinr
+                # Interference is x^H T x - ps, so a SINR s is resolved to about
+                # 2e-16 (1 + s) relative: 1e-12 holds up to s = 1e2 and grows
+                # with s past it.  A useful power that cancels (an orthogonal
+                # subcarrier) leaves s at rounding size, held to 1e-15.
+                rel = 1e-12 * max(1.0, want / 1e2)
+                assert got == want or got == pytest.approx(want, rel=rel, abs=1e-15), (name, v)
 
 
 @pytest.mark.parametrize("L", [2, 16, 160, 768])

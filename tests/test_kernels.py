@@ -210,6 +210,20 @@ class TestKernelInvariants:
         ki = build_ki(w, ch, cfg, cfg.Q, window_start=0)
         assert ki.quad(other) == pytest.approx(np.real(x.conj() @ expand(ki) @ x))
 
+    def test_forms_match_dense_oracle_and_quad(self):
+        cfg, ch, w = self._random_instance(11)
+        rng = np.random.default_rng(11)
+        ks, kin = build_ks_kin(w, ch, cfg, cfg.Q + 3, snr=10.0)
+        X = rng.standard_normal((ks.L, 4)) + 1j * rng.standard_normal((ks.L, 4))
+        useful = np.real(np.einsum("lp,lk,kp->p", X.conj(), expand(ks), X))
+        for k in (ks, kin):
+            ps, form = k.forms(X)
+            np.testing.assert_allclose(ps, useful, rtol=1e-12)
+            want = np.real(np.einsum("lp,lk,kp->p", X.conj(), expand(k), X))
+            np.testing.assert_allclose(form, want, rtol=1e-12)
+            quads = [k.quad(Waveform(x, offset=k.window_start)) for x in X.T]
+            np.testing.assert_allclose(form, quads, rtol=1e-12)
+
     def test_validation(self):
         cfg, ch, w = self._random_instance(10)
         with pytest.raises(ValueError):
