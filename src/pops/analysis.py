@@ -102,7 +102,8 @@ def psd(
 ) -> SweepResult:
     """Normalized power spectral density of a prototype waveform.
 
-    The waveform is zero-padded to ``oversample * len(w)`` points; the axis is
+    The waveform is zero-padded to ``oversample * len(w)`` points, rounded up
+    to a multiple of Q so that every subcarrier falls on a bin; the axis is
     frequency in units of the subcarrier spacing ``F = 1/(Q Ts)``, fftshifted
     to be increasing.  For ``n_subcarriers > 1`` the single-pulse PSD is
     replicated at the subcarrier spacing and summed (the aggregate spectrum of
@@ -114,11 +115,10 @@ def psd(
         raise ValueError(f"oversample must be >= 2, got {oversample}")
     if n_subcarriers < 1:
         raise ValueError(f"n_subcarriers must be >= 1, got {n_subcarriers}")
-    length = w.samples.size
-    m_bins = oversample * length
+    bins_per_f = -(-oversample * w.samples.size // cfg.Q)
+    m_bins = bins_per_f * cfg.Q
     power = np.abs(np.fft.fft(w.samples, m_bins)) ** 2
     if n_subcarriers > 1:
-        bins_per_f = int(round(m_bins / cfg.Q))
         total = np.zeros_like(power)
         for m in range(n_subcarriers):
             total += np.roll(power, (m - n_subcarriers // 2) * bins_per_f)
@@ -195,35 +195,23 @@ def sweep_ft(
     ft_values = [float(v) for v in ft_values]
     durations = [(int(a), int(b)) for a, b in durations]
     warnings: list[str] = []
-
-    def point(ft: float):
-        n_float = ft * cfg.Q
-        n_int = round(n_float)
-        if abs(n_float - n_int) > 1e-9 or n_int < cfg.Q:
-            return None
-        row = {}
-        for dphi, dpsi in durations:
-            cfg_pt = LatticeConfig(N=n_int, Q=cfg.Q, Ts=cfg.Ts, Dphi=dphi, Dpsi=dpsi)
-            res = run_pops(cfg_pt, ch, pcfg)
-            row[(dphi, dpsi)] = res.final_sinr
-        cfg_cv = LatticeConfig(N=n_int, Q=cfg.Q, Ts=cfg.Ts)
-        row["conventional"] = sinr_conventional(cfg_cv, ch, snr).sinr
-        return row
-
-    rows = [point(ft) for ft in ft_values]
     series: dict[str, list[float]] = {
         f"pops_dphi{a}_dpsi{b}": [] for a, b in durations
     }
     series["conventional"] = []
-    for ft, row in zip(ft_values, rows):
-        if row is None:
+    for ft in ft_values:
+        n_float = ft * cfg.Q
+        n_int = round(n_float)
+        if abs(n_float - n_int) > 1e-9 or n_int < cfg.Q:
             warnings.append(f"FT={ft:g} is not representable as N/{cfg.Q}; row skipped")
-            for key in series:
-                series[key].append(math.nan)
+            for values in series.values():
+                values.append(math.nan)
             continue
         for a, b in durations:
-            series[f"pops_dphi{a}_dpsi{b}"].append(row[(a, b)])
-        series["conventional"].append(row["conventional"])
+            cfg_pt = LatticeConfig(N=n_int, Q=cfg.Q, Ts=cfg.Ts, Dphi=a, Dpsi=b)
+            series[f"pops_dphi{a}_dpsi{b}"].append(run_pops(cfg_pt, ch, pcfg).final_sinr)
+        cfg_cv = LatticeConfig(N=n_int, Q=cfg.Q, Ts=cfg.Ts)
+        series["conventional"].append(sinr_conventional(cfg_cv, ch, snr).sinr)
     return SweepResult(
         axis_name="ft",
         axis_values=np.array(ft_values),
@@ -271,20 +259,19 @@ def sweep_doppler_delay(
             K=K, b=b, max_delay=max(1, round(tm)), Bd=bd_ts / cfg.Ts, Ts=cfg.Ts
         )
 
-    def point(bd_over_f: float):
-        ch = channel_for(bd_over_f)
-        row = {"pops": run_pops(cfg, ch, pcfg).final_sinr}
-        for cp in cp_samples:
-            cfg_cv = LatticeConfig(N=cfg.Q + cp, Q=cfg.Q, Ts=cfg.Ts)
-            row[f"conventional_cp{cp}"] = sinr_conventional(cfg_cv, ch, snr).sinr
-        return row
-
-    rows = [point(g) for g in grid]
-    names = ["pops"] + [f"conventional_cp{cp}" for cp in cp_samples]
+    # One column per distinct name: a repeated CP gives one baseline.
+    baselines = {f"conventional_cp{cp}": LatticeConfig(N=cfg.Q + cp, Q=cfg.Q, Ts=cfg.Ts)
+                 for cp in cp_samples}
+    series: dict[str, list[float]] = {name: [] for name in ["pops", *baselines]}
+    for g in grid:
+        ch = channel_for(g)
+        series["pops"].append(run_pops(cfg, ch, pcfg).final_sinr)
+        for name, cfg_cv in baselines.items():
+            series[name].append(sinr_conventional(cfg_cv, ch, snr).sinr)
     return SweepResult(
         axis_name="bd_over_f",
         axis_values=np.array(grid),
-        series={name: np.array([r[name] for r in rows]) for name in names},
+        series=series,
         metadata=encode({
             "sweep": "doppler-delay",
             "cfg": cfg,
@@ -310,11 +297,14 @@ def _sync_sweep(
     cp_baselines,
 ) -> SweepResult:
     values = [float(v) for v in values]
+    fractional = [v for v in values if kind == "time-sync" and not v.is_integer()]
+    if fractional:
+        raise ValueError(f"timing offsets must be whole samples, got {fractional}")
 
     def series(tx: Waveform, rx: Waveform, cfg: LatticeConfig) -> np.ndarray:
         # One kernel pair of tx on the union window serves every perturbed rx.
         if kind == "time-sync":
-            xs = [shift(rx, int(round(v))) for v in values]
+            xs = [shift(rx, int(v)) for v in values]
         else:
             xs = [modulate(rx, v, cfg.Q) for v in values]
         return np.array([r.sinr for r in _received(tx, xs, ch, cfg, snr, 1)])

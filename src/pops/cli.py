@@ -37,7 +37,7 @@ from .lattice import (
 )
 from .montecarlo import estimate_sinr
 from .optimizer import half_step, run_pops, save_pops_result
-from .scenario import INIT_KINDS, Scenario, ScenarioError, load_scenario, make_initializer
+from .scenario import INIT_KINDS, Scenario, ScenarioError, load_scenario, make_initializer, section_errors
 from .sinr import sinr, sinr_conventional, sinr_time_reversed
 from .kernels import build_ks_kin
 
@@ -136,10 +136,8 @@ def _psd_source(sc: Scenario, cfg: LatticeConfig) -> Waveform:
         path = sc.get("psd", "file")
         if path is None:
             raise ScenarioError("psd.source=file requires psd.file")
-        try:
+        with section_errors("psd.file"):
             return load_waveform_csv(path)
-        except (ValueError, OSError) as exc:
-            raise ScenarioError(f"psd.file: {exc}") from exc
     if source in ("conventional-tx", "conventional-rx"):
         make = make_conventional_tx if source.endswith("tx") else make_conventional_rx
         return make(cfg)

@@ -351,7 +351,9 @@ def load_waveform_csv(path) -> Waveform:
         raise ValueError(f"{path}: missing '# offset=' comment")
     if not rows:
         raise ValueError(f"{path}: no samples")
-    if rows[0][0] != offset:
-        raise ValueError(f"{path}: first index {rows[0][0]} inconsistent with offset {offset}")
+    for i, (idx, _, _) in enumerate(rows):
+        if idx != offset + i:
+            raise ValueError(f"{path}: sample row {i} has index {idx}, expected {offset + i} "
+                             f"(offset {offset}, indices must be consecutive)")
     samples = np.array([re + 1j * im for _, re, im in rows])
     return Waveform(samples, offset=offset)

@@ -45,12 +45,9 @@ class McConfig:
     Attributes
     ----------
     trials : int
-        Number of independent channel/symbol/noise realizations.
-    n_symbols : int or None
-        Number of lattice time slots to simulate (all Q subcarriers are
-        always active).  None sizes the slot range automatically to exactly
-        cover every pulse that overlaps the receive window; an explicit
-        count below the required coverage is refused.
+        Number of independent channel/symbol/noise realizations.  Each one
+        draws symbols on all Q subcarriers of exactly the time slots whose
+        pulses reach the receive window (:func:`required_symbol_span`).
     alphabet : str
         "gaussian" for unit-power circular complex Gaussian symbols or
         "qpsk" for unit-modulus QPSK symbols.
@@ -64,7 +61,6 @@ class McConfig:
     """
 
     trials: int
-    n_symbols: int | None = None
     alphabet: str = "gaussian"
     doppler_grid_size: int = 64
     rng_seed: int = 0
@@ -73,10 +69,6 @@ class McConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.trials, int) or self.trials < 1:
             raise ValueError(f"trials must be a positive integer, got {self.trials}")
-        if self.n_symbols is not None and (
-            not isinstance(self.n_symbols, int) or self.n_symbols < 1
-        ):
-            raise ValueError(f"n_symbols must be a positive integer or None, got {self.n_symbols}")
         if self.alphabet not in _ALPHABETS:
             raise ValueError(f"alphabet must be one of {_ALPHABETS}, got {self.alphabet!r}")
         if not isinstance(self.doppler_grid_size, int) or self.doppler_grid_size < 1:
@@ -152,19 +144,8 @@ def estimate_sinr(
     max_delay = int(delays.max())
 
     n_lo, n_hi = required_symbol_span(tx, rx, max_delay, N)
-    required = n_hi - n_lo + 1
-    if mc.n_symbols is None:
-        slots = np.arange(n_lo, n_hi + 1)
-    elif mc.n_symbols < required:
-        raise ValueError(
-            f"n_symbols = {mc.n_symbols} cannot cover the receive window: slots "
-            f"n in [{n_lo}, {n_hi}] ({required} symbols) overlap it; set "
-            f"n_symbols >= {required} or leave it None for automatic sizing"
-        )
-    else:
-        extra = mc.n_symbols - required
-        slots = np.arange(n_lo - extra // 2, n_hi + (extra - extra // 2) + 1)
-    slot0 = int(np.flatnonzero(slots == 0)[0])
+    slots = np.arange(n_lo, n_hi + 1)
+    slot0 = -n_lo
 
     l_rx = rx.samples.size
     window = rx.offset + np.arange(l_rx)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -71,6 +72,20 @@ class ScenarioError(ValueError):
     """A scenario file failed validation; the message names the key."""
 
 
+@contextmanager
+def section_errors(prefix: str):
+    """Re-raise a ValueError or OSError of the body as a ScenarioError led by ``prefix``.
+
+    A ScenarioError raised inside already names its key and passes unchanged.
+    """
+    try:
+        yield
+    except ScenarioError:
+        raise
+    except (ValueError, OSError) as exc:
+        raise ScenarioError(f"{prefix}: {exc}") from exc
+
+
 # Known keys and their defaults (None = no default, optional unless listed
 # in _REQUIRED).  Values are stored as strings until typed accessors run.
 _SCHEMA: dict[str, dict[str, str | None]] = {
@@ -113,7 +128,6 @@ _SCHEMA: dict[str, dict[str, str | None]] = {
     },
     "mc": {
         "trials": "10000",
-        "n_symbols": None,
         "alphabet": "gaussian",
         "doppler_grid_size": "64",
         "rng_seed": "0",
@@ -195,7 +209,7 @@ class Scenario:
         return value
 
     def lattice(self) -> LatticeConfig:
-        try:
+        with section_errors("lattice"):
             return LatticeConfig(
                 N=self._int("lattice", "N"),
                 Q=self._int("lattice", "Q"),
@@ -203,10 +217,6 @@ class Scenario:
                 Dphi=self._int("lattice", "Dphi"),
                 Dpsi=self._int("lattice", "Dpsi"),
             )
-        except ScenarioError:
-            raise
-        except ValueError as exc:
-            raise ScenarioError(f"lattice: {exc}") from exc
 
     def channel(self) -> PathList | SeparableChannel:
         kind = self._require("channel", "type")
@@ -222,7 +232,7 @@ class Scenario:
         ts = self._float("lattice", "Ts")
         if kind == "ideal":
             return PathList.ideal(Ts=ts)
-        try:
+        with section_errors("channel"):
             if kind == "paths":
                 delays = self._int_list("channel", "delays")
                 dopplers = self._float_list("channel", "dopplers")
@@ -250,6 +260,8 @@ class Scenario:
                     b=self._float("channel", "b"),
                     bd_over_f=self._float("channel", "bd_over_f"),
                 )
+            if self.get("channel", "bd_over_f") is not None:
+                raise ScenarioError("channel.bd_over_f requires channel.spread_product")
             max_delay = self._int("channel", "max_delay")
             bd = self._float("channel", "Bd")
             if max_delay is None or bd is None:
@@ -264,14 +276,10 @@ class Scenario:
                 Bd=bd,
                 Ts=ts,
             )
-        except ScenarioError:
-            raise
-        except ValueError as exc:
-            raise ScenarioError(f"channel: {exc}") from exc
 
     def initializer(self, cfg: LatticeConfig) -> Waveform:
         kind = self._require("pops", "init")
-        try:
+        with section_errors("pops.init"):
             if kind in INIT_KINDS:
                 return make_initializer(
                     cfg,
@@ -287,51 +295,36 @@ class Scenario:
                 if path is None:
                     raise ScenarioError("pops.init=file requires pops.init_file")
                 return load_waveform_csv(path)
-        except ScenarioError:
-            raise
-        except (ValueError, OSError) as exc:
-            raise ScenarioError(f"pops.init: {exc}") from exc
         raise ScenarioError(
             f"pops.init must be hermite, gaussian, rrc, noise or file, got {kind!r}"
         )
 
     def pops(self, cfg: LatticeConfig) -> PopsConfig:
-        try:
+        with section_errors("pops"):
             return PopsConfig(
                 epsilon=self._float("pops", "epsilon"),
                 max_iterations=self._int("pops", "max_iterations"),
                 snr=self.snr,
                 init=self.initializer(cfg),
             )
-        except ScenarioError:
-            raise
-        except ValueError as exc:
-            raise ScenarioError(f"pops: {exc}") from exc
 
     def mc(self) -> McConfig:
-        try:
+        with section_errors("mc"):
             return McConfig(
                 trials=self._int("mc", "trials"),
-                n_symbols=self._int("mc", "n_symbols"),
                 alphabet=self._require("mc", "alphabet"),
                 doppler_grid_size=self._int("mc", "doppler_grid_size"),
                 rng_seed=self._int("mc", "rng_seed"),
                 chunk_size=self._int("mc", "chunk_size"),
             )
-        except ScenarioError:
-            raise
-        except ValueError as exc:
-            raise ScenarioError(f"mc: {exc}") from exc
 
     def sinr_pair(self, cfg: LatticeConfig) -> tuple[Waveform, Waveform]:
         """Waveform pair for direct evaluation: files if given, else conventional."""
         tx_file = self.get("sinr", "tx_file")
         rx_file = self.get("sinr", "rx_file")
-        try:
+        with section_errors("sinr.tx_file/rx_file"):
             tx = load_waveform_csv(tx_file) if tx_file else make_conventional_tx(cfg)
             rx = load_waveform_csv(rx_file) if rx_file else make_conventional_rx(cfg)
-        except (ValueError, OSError) as exc:
-            raise ScenarioError(f"sinr.tx_file/rx_file: {exc}") from exc
         return tx, rx
 
     def durations(self) -> list[tuple[int, int]]:

@@ -94,6 +94,19 @@ class TestPsd:
         assert loaded.series["psd_db"][k] > -3.0
         assert single.series["psd_db"][k] < -10.0
 
+    def test_replicas_sit_at_the_exact_subcarrier_spacing(self):
+        # Q = 18 does not divide 16 * 22: the aggregate spectrum must still be
+        # the sum of the subcarriers' own periodograms.
+        cfg = LatticeConfig(N=22, Q=18)
+        w = make_hermite_init(cfg, [1.0])
+        r = psd(w, cfg, oversample=16, n_subcarriers=5)
+        m_bins = r.axis_values.size
+        direct = sum(np.abs(np.fft.fft(modulate(w, m, cfg.Q).samples, m_bins)) ** 2
+                     for m in range(-2, 3))
+        direct = np.fft.fftshift(direct / direct.max())
+        np.testing.assert_allclose(10.0 ** (r.series["psd_db"] / 10.0), direct,
+                                   rtol=1e-12, atol=1e-15)
+
     def test_validation(self):
         cfg = LatticeConfig(N=20, Q=16)
         with pytest.raises(ValueError):
@@ -178,8 +191,9 @@ class TestSweepDopplerDelay:
 
     def test_conventional_matches_closed_form(self):
         cfg = LatticeConfig(N=10, Q=8)
-        r = sweep_doppler_delay(cfg, 0.01, [0.1], cp_samples=(4,), snr=10.0,
+        r = sweep_doppler_delay(cfg, 0.01, [0.1], cp_samples=(4, 4), snr=10.0,
                                 pops=PopsConfig(snr=10.0, max_iterations=5))
+        assert list(r.series) == ["pops", "conventional_cp4"]  # a repeated CP is one column
         bd_ts = 0.1 / cfg.Q
         ch = SeparableChannel.with_uniform_delays(
             K=8, b=0.5, max_delay=max(1, round(0.01 / bd_ts)), Bd=bd_ts)
@@ -240,6 +254,10 @@ class TestSyncSweeps:
             empty = sweep(self.res, self.ch, self.cfg, [], snr=10.0, cp_baselines=(2,))
             assert set(empty.series) == names and empty.axis_values.size == 0
             assert all(s.shape == (0,) for s in empty.series.values())
+
+    def test_fractional_timing_offsets_are_refused(self):
+        with pytest.raises(ValueError, match=r"whole samples.*\[2\.5, -0\.25\]"):
+            sweep_time_sync(self.res, self.ch, self.cfg, [2.5, 2.0, -0.25, 3.0])
 
     def test_axes_and_series_names(self):
         r = sweep_time_sync(self.res, self.ch, self.cfg, [0], snr=10.0)

@@ -237,3 +237,9 @@ class TestWaveformCsv:
         back = load_waveform_csv(path)
         assert back.offset == w.offset
         np.testing.assert_allclose(back.samples, w.samples, rtol=0, atol=1e-16)
+
+    def test_gap_in_indices_is_refused(self, tmp_path):
+        path = tmp_path / "w.csv"
+        path.write_text("# offset=0\nindex,re,im\n0,1,0\n2,1,0\n5,1,0\n")
+        with pytest.raises(ValueError, match="row 1 has index 2, expected 1"):
+            load_waveform_csv(path)

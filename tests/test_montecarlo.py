@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from pops import (
@@ -45,16 +44,6 @@ class TestSymbolSpan:
         tx, rx = make_conventional_tx(cfg), make_conventional_rx(cfg)
         lo, hi = required_symbol_span(tx, rx, max_delay=100, N=cfg.N)
         assert lo <= 0 <= hi
-
-    def test_too_few_symbols_is_refused(self):
-        cfg = LatticeConfig(N=20, Q=16)
-        tx, rx = make_conventional_tx(cfg), make_conventional_rx(cfg)
-        ch = PathList.from_paths([(24, 0.0, 1.0)])
-        with pytest.raises(ValueError, match="n_symbols"):
-            estimate_sinr(tx, rx, ch, cfg, 10.0, McConfig(trials=10, n_symbols=1))
-        # enough symbols (or automatic sizing) is accepted
-        est = estimate_sinr(tx, rx, ch, cfg, 10.0, McConfig(trials=100, n_symbols=3))
-        assert np.isfinite(est.sinr)
 
 
 class TestAgainstAnalytic:

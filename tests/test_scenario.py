@@ -83,6 +83,10 @@ class TestParsing:
         with pytest.raises(ScenarioError, match=r"bound\.max_dimension"):
             scenario_from_text(MINIMAL + "\n[bound]\nmax_dimension = 4096\n")
 
+    def test_retired_mc_symbol_count_is_named(self):
+        with pytest.raises(ScenarioError, match=r"unknown key mc\.n_symbols"):
+            scenario_from_text(MINIMAL + "\n[mc]\nn_symbols = 3\n")
+
     def test_unknown_section_is_named(self):
         with pytest.raises(ScenarioError, match="radio"):
             scenario_from_text(MINIMAL + "\n[radio]\npower = 1\n")
@@ -133,6 +137,12 @@ class TestChannelRules:
     def test_separable_needs_some_spread(self):
         text = SEPARABLE.replace("spread_product = 0.01", "K = 8")
         with pytest.raises(ScenarioError, match="spread_product"):
+            scenario_from_text(text).channel()
+
+    def test_bd_over_f_needs_spread_product(self):
+        text = SEPARABLE.replace("spread_product = 0.01",
+                                 "max_delay = 4\nBd = 0.002\nbd_over_f = 0.05")
+        with pytest.raises(ScenarioError, match=r"channel\.bd_over_f requires channel\.spread_product"):
             scenario_from_text(text).channel()
 
     def test_spread_product_conflicts_with_bd(self):
