@@ -66,7 +66,6 @@ from .sinr import (
     power_ratio,
     sinr,
     sinr_conventional,
-    sinr_role_swapped,
     sinr_time_reversed,
 )
 
@@ -126,7 +125,6 @@ __all__ = [
     "shift",
     "sinr",
     "sinr_conventional",
-    "sinr_role_swapped",
     "sinr_time_reversed",
     "sweep_doppler_delay",
     "sweep_freq_sync",

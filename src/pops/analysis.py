@@ -188,12 +188,13 @@ def sweep_ft(
     Each FT value must be representable as N/Q with the configured Q; values
     that are not are recorded as NaN rows and listed in
     ``metadata["warnings"]``.  Duration pairs are (D_phi, D_psi) in units of
-    the symbol duration T.  Any initializer on ``pops`` is dropped: supports
-    change with N, so each point uses the optimizer's default initializer.
+    the symbol duration T; a repeated pair gives one column.  Any initializer
+    on ``pops`` is dropped: supports change with N, so each point uses the
+    optimizer's default initializer.
     """
     pcfg = dataclasses.replace(_resolve_pops(pops, snr), init=None)
     ft_values = [float(v) for v in ft_values]
-    durations = [(int(a), int(b)) for a, b in durations]
+    durations = list(dict.fromkeys((int(a), int(b)) for a, b in durations))
     warnings: list[str] = []
     series: dict[str, list[float]] = {
         f"pops_dphi{a}_dpsi{b}": [] for a, b in durations
@@ -307,7 +308,7 @@ def _sync_sweep(
             xs = [shift(rx, int(v)) for v in values]
         else:
             xs = [modulate(rx, v, cfg.Q) for v in values]
-        return np.array([r.sinr for r in _received(tx, xs, ch, cfg, snr, 1)])
+        return np.array([r.sinr for r in _received(tx, xs, ch, cfg, snr)])
 
     out = {"pops": series(tx, rx, cfg)}
     for cp in cp_baselines:
@@ -383,10 +384,17 @@ def sweep_mismatch(
 
     For each value in ``optimize_at``, POPS is run once on the channel built
     for that spread factor; the resulting fixed pair is then evaluated on the
-    channels of every ``evaluate_over`` point.  One series per design point.
+    channels of every ``evaluate_over`` point.  One series per distinct design
+    point; two values whose ``{v:g}`` column names coincide are refused.
     """
     pcfg = _resolve_pops(pops, snr)
-    optimize_at = [float(v) for v in optimize_at]
+    columns: dict[str, float] = {}
+    for v in dict.fromkeys(float(v) for v in optimize_at):
+        name = f"optimized_at_{v:g}"
+        if columns.setdefault(name, v) != v:
+            raise ValueError(f"optimize_at values {columns[name]!r} and {v!r} "
+                             f"both give the column {name!r}")
+    optimize_at = list(columns.values())
     evaluate_over = [float(v) for v in evaluate_over]
     if not optimize_at or not evaluate_over:
         raise ValueError("optimize_at and evaluate_over must be nonempty")
@@ -396,10 +404,9 @@ def sweep_mismatch(
     eval_channels = [
         SeparableChannel.from_spread_product(cfg, v, K=K, b=b) for v in evaluate_over
     ]
-    series = {}
-    for v, res in zip(optimize_at, designs):
-        series[f"optimized_at_{v:g}"] = np.array(
-            [sinr(res.tx_opt, res.rx_opt, ch, cfg, snr).sinr for ch in eval_channels])
+    series = {name: np.array([sinr(res.tx_opt, res.rx_opt, ch, cfg, snr).sinr
+                              for ch in eval_channels])
+              for name, res in zip(columns, designs)}
     return SweepResult(
         axis_name="spread_product",
         axis_values=np.array(evaluate_over),

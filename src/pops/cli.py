@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-from .bound import SingularInterferenceError, build_kronecker_system, upper_bound
+from .bound import build_kronecker_system, upper_bound
 from .lattice import (
     LatticeConfig,
     Waveform,
@@ -376,21 +376,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         sc = load_scenario(args.scenario, overrides=args.overrides)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
         summary = _COMMANDS[args.command](sc, args)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except SingularInterferenceError as exc:
+    except np.linalg.LinAlgError as exc:  # SingularInterferenceError among them
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except np.linalg.LinAlgError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except ValueError as exc:
+    except ValueError as exc:  # ScenarioError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     print(summary)

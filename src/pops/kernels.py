@@ -33,9 +33,10 @@ No L x L product is formed:
 Assembly costs O(L (r + J m)) for J lattice shifts, a half-step O(L (m^2 + m r + r^2) + r^3),
 and the forms of P receivers on the window (:meth:`KernelMatrix.forms`) O(L r P + Q m^2 P).
 
-The S(-p, -nu) orientation (sign=-1) negates delays and Dopplers; it appears
-in the role-swap identities.  The optimizer's pong half-step does not use it:
-it builds the kernels of the time-reversed receiver with sign=1.
+Kernels come in one orientation, S(p, nu).  The role-swapped S(-p, -nu)
+kernels of w on [s, s+L) are the index-reversed kernels of time_reverse(w) on
+[-(s+L-1), -s+1): reversing time negates every delay and Doppler.  So the pong
+half-step needs no second orientation: it runs on the time-reversed receiver.
 """
 
 from __future__ import annotations
@@ -65,13 +66,10 @@ class KernelMatrix:
     """
 
     data: np.ndarray
-    sign: int
     window_start: int
     factor: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
         for name in ("data", "factor"):
             if getattr(self, name) is not None:
                 arr = np.array(getattr(self, name), dtype=np.complex128)
@@ -119,7 +117,7 @@ def from_comb(xc: np.ndarray, L: int) -> np.ndarray:
     return xc.swapaxes(0, 1).reshape((-1,) + xc.shape[2:])[:L]
 
 
-def best_window_start(w: Waveform, ch, L_out: int, sign: int = 1) -> int:
+def best_window_start(w: Waveform, ch, L_out: int) -> int:
     """Start of the length-L_out window maximizing the useful-kernel trace.
 
     The KS diagonal restricted to a window starting at s has trace
@@ -128,14 +126,13 @@ def best_window_start(w: Waveform, ch, L_out: int, sign: int = 1) -> int:
     discriminate; maximizing the useful trace simultaneously minimizes the
     interference trace of the window.)
     """
-    delays = sign * ch.delays
     n = len(w)
     energy = np.abs(w.samples) ** 2
     cum = np.concatenate(([0.0], np.cumsum(energy)))
-    d_min, d_max = int(delays.min()), int(delays.max())
+    d_min, d_max = int(ch.delays.min()), int(ch.delays.max())
     s_vals = np.arange(w.offset + d_min - L_out + 1, w.offset + n + d_max)
     trace = np.zeros(s_vals.size)
-    for d, pi_k in zip(delays, ch.powers):
+    for d, pi_k in zip(ch.delays, ch.powers):
         lo = np.clip(s_vals - int(d) - w.offset, 0, n)
         hi = np.clip(s_vals - int(d) + L_out - w.offset, 0, n)
         trace += pi_k * (cum[hi] - cum[lo])
@@ -149,8 +146,7 @@ def _rows(w: Waveform, s: int, L: int, shifts: np.ndarray) -> np.ndarray:
     return padded[np.clip(idx, 0, padded.size - 1)]
 
 
-def build_ks(w: Waveform, ch, L_out: int, window_start: int | None = None,
-             sign: int = 1) -> KernelMatrix:
+def build_ks(w: Waveform, ch, L_out: int, window_start: int | None = None) -> KernelMatrix:
     """Useful-signal kernel of waveform w on a length-L_out window, as its factor C.
 
     window_start=None selects the maximum-trace window (see
@@ -158,14 +154,14 @@ def build_ks(w: Waveform, ch, L_out: int, window_start: int | None = None,
     """
     if L_out < 1:
         raise ValueError(f"L_out must be >= 1, got {L_out}")
-    s = best_window_start(w, ch, L_out, sign) if window_start is None else int(window_start)
-    rows = _rows(w, s, L_out, sign * ch.delays) * np.sqrt(ch.powers)[:, None]
-    nodes = sign * ch.doppler_nodes(L_out)
+    s = best_window_start(w, ch, L_out) if window_start is None else int(window_start)
+    rows = _rows(w, s, L_out, ch.delays) * np.sqrt(ch.powers)[:, None]
+    nodes = ch.doppler_nodes(L_out)
     phase = np.exp(1j * nodes[:, :, None] * np.arange(L_out)) / math.sqrt(nodes.shape[1])
     rows = (rows[:, None, :] * phase).reshape(-1, L_out)
     if len(rows) > L_out:  # more columns than samples: Doppler spreads near the sample rate
         rows = np.linalg.qr(rows, mode="r")  # C^T = Q R gives C C^H = R^T conj(R)
-    return KernelMatrix(rows.T, sign, s)
+    return KernelMatrix(rows.T, s)
 
 
 def _total(w: Waveform, ch, cfg: LatticeConfig, ks: KernelMatrix,
@@ -175,8 +171,7 @@ def _total(w: Waveform, ch, cfg: LatticeConfig, ks: KernelMatrix,
     if abs(ch.Ts - cfg.Ts) > 0:
         raise ValueError(f"channel Ts={ch.Ts} disagrees with lattice Ts={cfg.Ts}")
     L, s, N = ks.L, ks.window_start, cfg.N
-    delays = ks.sign * ch.delays
-    nodes = ks.sign * ch.doppler_nodes(L)
+    delays, nodes = ch.delays, ch.doppler_nodes(L)
     # Shift d + nN overlaps [s, s+L) for n in [n_lo, n_hi].
     n_lo = (s - delays - w.end) // N + 1
     n_hi = -((w.offset - s + delays - L) // N) - 1
@@ -193,18 +188,17 @@ def _total(w: Waveform, ch, cfg: LatticeConfig, ks: KernelMatrix,
     if noise:
         valid = to_comb(np.ones(L), cfg.Q)
         blocks += noise * valid[:, :, None] * np.eye(valid.shape[1])
-    return KernelMatrix(blocks, ks.sign, s, ks.data)
+    return KernelMatrix(blocks, s, ks.data)
 
 
 def build_ki(w: Waveform, ch, cfg: LatticeConfig, L_out: int,
-             window_start: int | None = None, sign: int = 1) -> KernelMatrix:
+             window_start: int | None = None) -> KernelMatrix:
     """Interference kernel: comb-folded total over all lattice shifts, minus KS."""
-    return _total(w, ch, cfg, build_ks(w, ch, L_out, window_start, sign))
+    return _total(w, ch, cfg, build_ks(w, ch, L_out, window_start))
 
 
 def build_ks_kin(w: Waveform, ch, cfg: LatticeConfig, L_out: int, snr: float,
-                 window_start: int | None = None,
-                 sign: int = 1) -> tuple[KernelMatrix, KernelMatrix]:
+                 window_start: int | None = None) -> tuple[KernelMatrix, KernelMatrix]:
     """(KS, KIN) sharing one window — the pair a half-step solver consumes.
 
     KIN = KI + (||w||^2 / snr) I on the window's samples; snr may be math.inf
@@ -212,5 +206,5 @@ def build_ks_kin(w: Waveform, ch, cfg: LatticeConfig, L_out: int, snr: float,
     """
     if not snr > 0:
         raise ValueError(f"snr must be positive, got {snr}")
-    ks = build_ks(w, ch, L_out, window_start=window_start, sign=sign)
+    ks = build_ks(w, ch, L_out, window_start=window_start)
     return ks, _total(w, ch, cfg, ks, w.energy / snr)

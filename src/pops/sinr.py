@@ -4,6 +4,12 @@ All reports use the unit-energy convention: ps and pi are normalized by
 ||tx||^2 ||rx||^2 (so E = 1) and the noise power is pn = 1/snr, making every
 quantity invariant to rescaling of either waveform.  snr = math.inf gives the
 zero-noise branch, where sinr coincides with the (noise-free) sir.
+
+Tx/Rx duality: the SINR of (tx, rx) equals that of tx received against the
+S(-p, -nu) kernels of rx.  Those kernels are the index-reversed kernels of
+time_reverse(rx) (:mod:`pops.kernels`), so the package states the identity
+once, as :func:`sinr_time_reversed`; the S(-p, -nu) form is built only by
+the tests' dense oracle.
 """
 
 from __future__ import annotations
@@ -17,8 +23,8 @@ from .channel import doppler_correlation
 from .kernels import build_ks_kin
 from .lattice import LatticeConfig, Waveform, inner, lattice_atom, time_reverse
 
-__all__ = ["SinrReport", "sinr", "sinr_role_swapped", "sinr_time_reversed",
-           "sinr_conventional", "noise_correlation", "power_ratio"]
+__all__ = ["SinrReport", "sinr", "sinr_time_reversed", "sinr_conventional",
+           "noise_correlation", "power_ratio"]
 
 # Interference is a difference of quadratic forms (x^H T x - ps): it leaves
 # rounding dust of either sign and resolves no SIR beyond 1e12 (120 dB).
@@ -60,9 +66,8 @@ def _report(ps: float, pi: float, snr: float) -> SinrReport:
                       sir=power_ratio(ps, pi), snr=snr)
 
 
-def _received(w: Waveform, xs, ch, cfg: LatticeConfig, snr: float,
-              sign: int) -> list[SinrReport]:
-    """Reports for each x in xs received against the sign-oriented kernels of w.
+def _received(w: Waveform, xs, ch, cfg: LatticeConfig, snr: float) -> list[SinrReport]:
+    """Reports for each x in xs received against the kernels of w.
 
     Kernel entries depend only on global sample indices, so one pair built on
     the union window of the receivers serves all of them.
@@ -74,7 +79,7 @@ def _received(w: Waveform, xs, ch, cfg: LatticeConfig, snr: float,
     start = min(x.offset for x in xs)
     L = max(x.end for x in xs) - start
     # At snr=inf the KIN of the pair is the bare KI; noise is added in _report.
-    _, ki = build_ks_kin(w, ch, cfg, L, math.inf, window_start=start, sign=sign)
+    _, ki = build_ks_kin(w, ch, cfg, L, math.inf, window_start=start)
     ps, pi = ki.forms(np.stack([x.dense(start, L) for x in xs], axis=1))
     scale = w.energy * np.array([x.energy for x in xs])
     return [_report(a, b, snr) for a, b in zip(ps / scale, pi / scale)]
@@ -82,17 +87,7 @@ def _received(w: Waveform, xs, ch, cfg: LatticeConfig, snr: float,
 
 def sinr(tx: Waveform, rx: Waveform, ch, cfg: LatticeConfig, snr: float) -> SinrReport:
     """SINR of the pair (tx, rx): rx^H KS rx / rx^H (KI + ||tx||^2/snr I) rx."""
-    return _received(tx, [rx], ch, cfg, snr, 1)[0]
-
-
-def sinr_role_swapped(tx: Waveform, rx: Waveform, ch, cfg: LatticeConfig,
-                      snr: float) -> SinrReport:
-    """Same SINR computed with the roles interchanged.
-
-    tx acts as the receiver against the S(-p,-nu)-oriented kernels of rx;
-    equals sinr(tx, rx, ...) identically.
-    """
-    return _received(rx, [tx], ch, cfg, snr, -1)[0]
+    return _received(tx, [rx], ch, cfg, snr)[0]
 
 
 def sinr_time_reversed(tx: Waveform, rx: Waveform, ch, cfg: LatticeConfig,

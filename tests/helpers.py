@@ -59,7 +59,7 @@ def random_kernel_pair(rng, L, ridge=0.1, q=None, r=None):
 
 def structured_pair(C, blocks):
     """(KS, KIN) kernels of KS = C C^H and T = KS + KIN given by its comb blocks."""
-    return KernelMatrix(C, 1, 0), KernelMatrix(blocks, 1, 0, C)
+    return KernelMatrix(C, 0), KernelMatrix(blocks, 0, C)
 
 
 def expand(kernel):
@@ -136,9 +136,20 @@ def _comb_matrix(Q, L):
     return toeplitz((np.arange(L) % Q == 0).astype(float))
 
 
+def _oracle_window(w, ch, L, window_start, sign):
+    """The given window start; the production choice only for S(p, nu), since
+    the package selects windows in that orientation alone."""
+    if window_start is not None:
+        return window_start
+    if sign != 1:
+        raise ValueError("the S(-p, -nu) oracle needs an explicit window_start")
+    return best_window_start(w, ch, L)
+
+
 def dense_ks(w, ch, L, window_start=None, sign=1):
-    """KS as an L x L matrix, J0 applied exactly for a separable channel."""
-    s = best_window_start(w, ch, L, sign) if window_start is None else window_start
+    """KS as an L x L matrix, J0 applied exactly for a separable channel.
+    sign=-1 gives the S(-p, -nu) kernel: delays and Dopplers negated."""
+    s = _oracle_window(w, ch, L, window_start, sign)
     M = _assemble(w, ch, s, L, sign, None)
     bd_ts = _oracle_params(ch, sign)[3]
     if bd_ts:
@@ -148,13 +159,24 @@ def dense_ks(w, ch, L, window_start=None, sign=1):
 
 def dense_ki(w, ch, cfg, L, window_start=None, sign=1):
     """KI as an L x L matrix: the comb-masked total over lattice shifts, minus KS."""
-    s = best_window_start(w, ch, L, sign) if window_start is None else window_start
+    s = _oracle_window(w, ch, L, window_start, sign)
     mask = cfg.Q * _comb_matrix(cfg.Q, L)
     bd_ts = _oracle_params(ch, sign)[3]
     if bd_ts:
         mask = mask * _jakes_matrix(bd_ts, L)
     M = _assemble(w, ch, s, L, sign, cfg.N) * mask - dense_ks(w, ch, L, s, sign)
     return 0.5 * (M + M.conj().T)
+
+
+def dense_role_swapped(tx, rx, ch, cfg):
+    """(ps, pi) per unit energies of tx received against the dense S(-p, -nu)
+    kernels of rx on tx's own window: the pair sinr(tx, rx) with the roles of
+    transmitter and receiver interchanged."""
+    x = tx.dense(tx.offset, len(tx))
+    ks = dense_ks(rx, ch, len(tx), tx.offset, sign=-1)
+    ki = dense_ki(rx, ch, cfg, len(tx), tx.offset, sign=-1)
+    scale = tx.energy * rx.energy
+    return np.real(np.vdot(x, ks @ x)) / scale, np.real(np.vdot(x, ki @ x)) / scale
 
 
 def dense_kronecker_forms(cfg, ch, phi_offset, phi_length, psi_offset, psi_length):

@@ -11,7 +11,8 @@ import time
 import numpy as np
 import scipy.linalg
 
-from helpers import dense_ki, dense_ks, expand, random_kernel_pair, random_pathlist, random_waveform
+from helpers import (dense_ki, dense_ks, dense_role_swapped, expand, random_kernel_pair,
+                     random_pathlist, random_waveform)
 from pops import (
     LatticeConfig,
     McConfig,
@@ -149,8 +150,10 @@ def test_criterion_04_monotone_ping_pong():
 
 
 def test_criterion_05_duality_identities():
-    """Role-swap quadratic forms and the time-reversal SINR identity; the
-    structured kernels of both orientations expand to the dense oracle."""
+    """Role-swap quadratic forms against the dense S(-p,-nu) oracle and the
+    time-reversal SINR identity; the structured kernels, and the reversed
+    kernels of the time-reversed pulse, expand to the dense oracle of each
+    orientation."""
     rng = np.random.default_rng(5005)
     worst_quad = worst_dense = 0.0
     cfg = LatticeConfig(N=10, Q=8)
@@ -159,15 +162,18 @@ def test_criterion_05_duality_identities():
         phi = random_waveform(rng, 12, offset=-4)
         psi_w = random_waveform(rng, 9, offset=-2)
         fwd = build_ks(phi, ch, len(psi_w), window_start=psi_w.offset).quad(psi_w)
-        rev = build_ks(psi_w, ch, len(phi), window_start=phi.offset, sign=-1).quad(phi)
+        rev = dense_role_swapped(phi, psi_w, ch, cfg)[0]
         worst_quad = max(worst_quad, abs(fwd - rev) / abs(fwd))
+        # The S(-p,-nu) kernels of psi on phi's window are the index-reversed
+        # kernels of time_reverse(psi) on the reversed window.
         for w, other, sign in ((phi, psi_w, 1), (psi_w, phi, -1)):
-            ks, ki = build_ks_kin(w, ch, cfg, len(other), math.inf,
-                                  window_start=other.offset, sign=sign)
+            src, start = ((w, other.offset) if sign == 1
+                          else (time_reverse(w), -(other.offset + len(other) - 1)))
+            ks, ki = build_ks_kin(src, ch, cfg, len(other), math.inf, window_start=start)
             for got, want in ((ks, dense_ks(w, ch, len(other), other.offset, sign)),
                               (ki, dense_ki(w, ch, cfg, len(other), other.offset, sign))):
-                worst_dense = max(worst_dense,
-                                  float(np.abs(expand(got) - want).max() / np.abs(want).max()))
+                err = np.abs(expand(got)[::sign, ::sign] - want).max() / np.abs(want).max()
+                worst_dense = max(worst_dense, float(err))
     worst_rev = 0.0
     for _ in range(10):
         ch = random_pathlist(rng, max_delay=3, k=2, nu_scale=0.02)

@@ -177,6 +177,17 @@ class TestSweepFt:
         assert (r.series["pops_dphi2_dpsi2"][0]
                 >= r.series["pops_dphi1_dpsi1"][0] * (1 - 1e-6))
 
+    def test_repeated_duration_pair_gives_one_column(self):
+        cfg = LatticeConfig(N=10, Q=8)
+        ch = SeparableChannel.from_spread_product(cfg, 0.01)
+        pcfg = PopsConfig(snr=10.0, max_iterations=5)
+        r = sweep_ft(cfg, ch, [1.25], durations=[(1, 1), (1, 1)], snr=10.0, pops=pcfg)
+        once = sweep_ft(cfg, ch, [1.25], durations=[(1, 1)], snr=10.0, pops=pcfg)
+        assert set(r.series) == {"pops_dphi1_dpsi1", "conventional"}
+        for name, values in once.series.items():
+            np.testing.assert_array_equal(r.series[name], values)
+        assert r.metadata == once.metadata  # replay runs the pair once too
+
 
 class TestSweepDopplerDelay:
     def test_axis_and_series(self):
@@ -302,6 +313,25 @@ class TestSweepMismatch:
                            pops=PopsConfig(snr=10.0, max_iterations=60))
         a, b = r.series["optimized_at_0.005"], r.series["optimized_at_0.05"]
         assert a[0] >= b[0] and b[1] >= a[1]
+
+    def test_repeated_design_runs_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(importlib.import_module("pops.analysis"), "run_pops",
+                            lambda *args: calls.append(args) or run_pops(*args))
+        cfg = LatticeConfig(N=10, Q=8)
+        r = sweep_mismatch(cfg, optimize_at=[0.005, 0.005], evaluate_over=[0.005], snr=10.0,
+                           pops=PopsConfig(snr=10.0, max_iterations=5))
+        assert len(calls) == 1
+        assert list(r.series) == ["optimized_at_0.005"]
+        assert r.metadata["optimize_at"] == [0.005]
+
+    def test_values_sharing_a_column_are_refused(self, monkeypatch):
+        # 0.0100000004 prints as 0.01 under {:g}: its column would overwrite
+        # the 0.01 design.  Refused before any optimizer run.
+        monkeypatch.setattr(importlib.import_module("pops.analysis"), "run_pops", None)
+        with pytest.raises(ValueError, match="'optimized_at_0.01'"):
+            sweep_mismatch(LatticeConfig(N=10, Q=8), optimize_at=[0.01, 0.0100000004],
+                           evaluate_over=[0.01], snr=10.0)
 
 
 class TestInitializationStudy:

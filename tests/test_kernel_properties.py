@@ -16,20 +16,21 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import j0
 
-from helpers import dense_half_step, dense_ki, dense_ks, expand, random_waveform
+from helpers import dense_half_step, dense_ki, dense_ks, dense_role_swapped, expand, random_waveform
 from pops import (
     LatticeConfig,
     PathList,
     PopsResult,
     SeparableChannel,
+    SinrReport,
     build_ks_kin,
     half_step,
     make_conventional_rx,
     make_conventional_tx,
     modulate,
+    power_ratio,
     shift,
     sinr,
-    sinr_role_swapped,
     sinr_time_reversed,
     sweep_freq_sync,
     sweep_time_sync,
@@ -63,7 +64,7 @@ def channels(draw, n):
 
 @st.composite
 def instances(draw):
-    """Lattice, channel, a waveform, a window (length, start or None, orientation) and snr."""
+    """Lattice, channel, a waveform, a window (length, start or None) and snr."""
     n = draw(st.integers(4, 16))
     cfg = LatticeConfig(N=n, Q=draw(st.integers(2, n)))
     ch = draw(channels(n))
@@ -71,21 +72,20 @@ def instances(draw):
     w = random_waveform(rng, draw(st.integers(1, 3 * n)), offset=draw(st.integers(-n, n)))
     length = draw(st.integers(1, 4 * n))
     start = draw(st.one_of(st.none(), st.integers(-2 * n, 2 * n)))
-    sign = draw(st.sampled_from([1, -1]))
     snr = draw(st.one_of(st.just(math.inf), st.floats(0.5, 1000.0)))
-    return cfg, ch, w, length, start, sign, snr
+    return cfg, ch, w, length, start, snr
 
 
 @PROPERTY
 @given(instances())
 def test_structured_kernels_expand_to_dense(inst):
-    cfg, ch, w, length, start, sign, snr = inst
-    ks, kin = build_ks_kin(w, ch, cfg, length, snr, window_start=start, sign=sign)
+    cfg, ch, w, length, start, snr = inst
+    ks, kin = build_ks_kin(w, ch, cfg, length, snr, window_start=start)
     s = ks.window_start
     assert kin.window_start == s and ks.L == kin.L == length
-    want_ks = dense_ks(w, ch, length, s, sign)
+    want_ks = dense_ks(w, ch, length, s)
     noise = 0.0 if math.isinf(snr) else w.energy / snr
-    want_kin = dense_ki(w, ch, cfg, length, s, sign) + noise * np.eye(length)
+    want_kin = dense_ki(w, ch, cfg, length, s) + noise * np.eye(length)
     scale = max(np.abs(want_ks).max(), np.abs(want_kin).max())
     np.testing.assert_allclose(expand(ks), want_ks, rtol=0, atol=1e-10 * scale)
     np.testing.assert_allclose(expand(kin), want_kin, rtol=0, atol=1e-10 * scale)
@@ -94,11 +94,11 @@ def test_structured_kernels_expand_to_dense(inst):
 @PROPERTY
 @given(instances())
 def test_half_step_equals_dense_eigensolve(inst):
-    cfg, ch, w, length, start, sign, snr = inst
+    cfg, ch, w, length, start, snr = inst
     # A finite snr keeps T definite; at snr=inf the ideal channel's T is
     # singular and the solve runs on its range, where interference vanishes.
     assume(math.isfinite(snr) or ch is IDEAL)
-    ks, kin = build_ks_kin(w, ch, cfg, length, snr, window_start=start, sign=sign)
+    ks, kin = build_ks_kin(w, ch, cfg, length, snr, window_start=start)
     _, value = half_step(ks, kin)
     want = dense_half_step(expand(ks), expand(kin))
     assert value == want or value == pytest.approx(want, rel=1e-10)
@@ -128,7 +128,11 @@ def _same_report(a, b):
 @given(pairs())
 def test_role_swap_identity(pair):
     cfg, ch, tx, rx, snr = pair
-    _same_report(sinr(tx, rx, ch, cfg, snr), sinr_role_swapped(tx, rx, ch, cfg, snr))
+    ps, pi = (max(p, 0.0) for p in dense_role_swapped(tx, rx, ch, cfg))
+    pn = 0.0 if math.isinf(snr) else 1.0 / snr
+    swapped = SinrReport(ps=ps, pi=pi, pn=pn, sinr=power_ratio(ps, pi + pn),
+                         sir=power_ratio(ps, pi), snr=snr)
+    _same_report(sinr(tx, rx, ch, cfg, snr), swapped)
 
 
 @PROPERTY

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from scipy.special import j0
 
-from helpers import dense_ki, dense_ks, expand, random_pathlist, random_waveform, small_config
+from helpers import (dense_ki, dense_ks, dense_role_swapped, expand, random_pathlist,
+                     random_waveform, small_config)
 from pops import (
     KernelMatrix,
     LatticeConfig,
@@ -48,8 +49,7 @@ def oracle_ks(w, ch, s, L):
     p = s + np.arange(L)
     diff = p[:, None] - p[None, :]
     K = np.zeros((L, L), dtype=complex)
-    terms = ch if isinstance(ch, list) else _path_terms(ch)
-    for d, rho, pk in terms:
+    for d, rho, pk in _path_terms(ch):
         v = w.dense(s - d, L)  # w(p - d) on the window
         K += pk * np.outer(v, v.conj()) * rho(diff)
     return K
@@ -107,18 +107,6 @@ class TestUsefulKernelOracle:
         ks = build_ks(w, ch, 10, window_start=-2)
         assert ks.data.shape == (10, 10)
         assert rel_err(expand(ks), oracle_ks(w, ch, -2, 10)) < 1e-13
-
-    def test_reflected_roles(self):
-        # sign=-1 mirrors delays and Dopplers.
-        rng = np.random.default_rng(13)
-        ch = random_pathlist(rng, max_delay=4, k=2, nu_scale=0.04)
-        mirrored = [
-            (-int(d), (lambda r, nu=nu: np.exp(-2j * np.pi * nu * ch.Ts * r)), pk)
-            for d, nu, pk in zip(ch.delays, ch.dopplers, ch.powers)
-        ]
-        w = random_waveform(rng, 9, offset=-8)
-        got = build_ks(w, ch, 8, window_start=-6, sign=-1)
-        assert rel_err(expand(got), oracle_ks(w, mirrored, -6, 8)) < 1e-13
 
 
 class TestInterferenceKernelOracle:
@@ -232,12 +220,10 @@ class TestKernelInvariants:
         ki = build_ki(w, ch, cfg, cfg.Q)
         with pytest.raises(ValueError):
             build_ks_kin(w, ch, cfg, cfg.Q, 0.0)
-        with pytest.raises(ValueError):
-            KernelMatrix(np.eye(3), sign=2, window_start=0)
         with pytest.raises(ValueError):  # comb blocks need the factor of KS
-            KernelMatrix(ki.data, sign=1, window_start=0)
+            KernelMatrix(ki.data, window_start=0)
         with pytest.raises(ValueError):  # blocks that do not tile the factor's L
-            KernelMatrix(ki.data[:4], 1, 0, ks.data)
+            KernelMatrix(ki.data[:4], 0, ks.data)
         bad_ts = SeparableChannel.with_uniform_delays(K=2, b=0.5, max_delay=2, Bd=0.0, Ts=2.0)
         with pytest.raises(ValueError):
             build_ki(random_waveform(np.random.default_rng(0), 8), bad_ts, cfg, cfg.Q)
@@ -273,16 +259,18 @@ class TestBestWindow:
 
 
 class TestDualityQuadraticForms:
-    """Transmit/receive role swap preserves the useful and total powers."""
+    """Transmit/receive role swap preserves the useful and total powers: the
+    kernels of phi read at psi equal the dense S(-p, -nu) kernels of psi read at phi."""
 
     def test_ks_quad_identity(self):
         rng = np.random.default_rng(41)
+        cfg = small_config(n=10, q=8)
         for trial in range(10):
             ch = random_pathlist(rng, max_delay=4, k=3, nu_scale=0.05)
             phi = random_waveform(rng, 12, offset=-4)
             psi = random_waveform(rng, 9, offset=-2)
             fwd = build_ks(phi, ch, len(psi), window_start=psi.offset).quad(psi)
-            rev = build_ks(psi, ch, len(phi), window_start=phi.offset, sign=-1).quad(phi)
+            rev = dense_role_swapped(phi, psi, ch, cfg)[0]
             assert fwd == pytest.approx(rev, rel=1e-10), trial
 
     def test_total_quad_identity(self):
@@ -295,9 +283,7 @@ class TestDualityQuadraticForms:
             fwd = build_ks(phi, ch, len(psi), window_start=psi.offset).quad(psi) + build_ki(
                 phi, ch, cfg, len(psi), window_start=psi.offset
             ).quad(psi)
-            rev = build_ks(psi, ch, len(phi), window_start=phi.offset, sign=-1).quad(phi) + build_ki(
-                psi, ch, cfg, len(phi), window_start=phi.offset, sign=-1
-            ).quad(phi)
+            rev = sum(dense_role_swapped(phi, psi, ch, cfg))
             assert fwd == pytest.approx(rev, rel=1e-10), trial
 
 
