@@ -4,7 +4,7 @@ The kernel-based SINR is a closed quadratic form; the Monte-Carlo estimator
 synthesizes whole multicarrier frames through random channel realizations and
 measures the same three powers (useful, interference, noise) from demodulated
 symbols.  The two must agree within statistical error -- a strong end-to-end
-check, since they share no code path.
+check, since they share no code path but the channel's Doppler nodes.
 """
 
 import math

@@ -266,21 +266,31 @@ def upper_bound(sys: KroneckerSystem, snr: float = math.inf) -> float:
     if not keep.any():
         return 0.0
     # In the eigenbasis of A + B, T is diagonal: whiten by it, 0 off the range.
+    # Each block stack is as large as the system, so each is built once,
+    # scaled in place and dropped as soon as it has been read.
     scale = np.where(keep, lam + 1.0 / snr, np.inf) ** -0.5
-    white = scale[..., None] * (U.conj().swapaxes(1, 2) @ sys.a_matrix @ U) * scale[:, None, :]
+    u_h = U.conj().swapaxes(1, 2)  # a view when the blocks are real
+    white = u_h @ sys.a_matrix @ U
+    white *= scale[..., None]
+    white *= scale[:, None, :]
     top, Y = np.linalg.eigh(white)
+    del white
     block = int(np.argmax(top[:, -1]))
     chi = U[block] @ (scale[block] * Y[block, :, -1])
+    del Y
     ps = float(np.real(np.vdot(chi, sys.a_matrix[block] @ chi)))
     pi = float(np.real(np.vdot(chi, sys.b_matrix[block] @ chi) + np.vdot(chi, chi) / snr))
     if math.isfinite(snr):
         return max(ps, 0.0) / pi  # pi >= ||chi||^2/snr > 0
     # Whitening amplifies rounding and can hide a singular B: read B's spectrum on
     # the range too, each dropped direction decoupled at a Rayleigh quotient of it.
-    sub = U.conj().swapaxes(1, 2) @ sys.b_matrix @ U
+    sub = u_h @ sys.b_matrix @ U
+    del u_h, U
     pad = np.where(keep, 0.0, sub[int(np.argmax(lam[:, -1])), -1, -1].real)
-    eigs = np.linalg.eigvalsh(np.where(keep[:, :, None] & keep[:, None, :], sub, 0.0)
-                              + pad[..., None] * np.eye(lam.shape[1]))
+    sub[~(keep[:, :, None] & keep[:, None, :])] = 0.0
+    diag = np.arange(lam.shape[1])
+    sub[:, diag, diag] += pad
+    eigs = np.linalg.eigvalsh(sub)
     value = power_ratio(ps, pi)
     if math.isinf(value) or eigs.min() <= _RANGE_RTOL * eigs.max():
         raise SingularInterferenceError(

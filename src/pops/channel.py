@@ -3,16 +3,16 @@
 Two representations of the scattering function S(p, nu):
 
 * :class:`PathList` — explicit discrete paths (delay in samples, Doppler in
-  Hz, power), the general form; the Monte-Carlo estimator simulates it.
+  Hz, power), the general form.
 * :class:`SeparableChannel` — truncated exponential delay profile times a
   Jakes Doppler density of spread Bd; :meth:`~SeparableChannel.to_pathlist`
-  discretizes the Doppler density into equiprobable quantiles when explicit
-  paths are needed.
+  discretizes the Doppler density into equiprobable quantiles when an
+  explicit quantile grid is wanted.
 
-The evaluators (kernels, bound, closed form) see both through one interface:
-``delays`` and ``powers`` per tap, and ``doppler_nodes(L)``, per-sample
-angular Dopplers theta whose mean of exp(j theta r) is the tap's time
-autocorrelation at every lag |r| < L (:func:`doppler_correlation`).  A path
+The evaluators (kernels, bound, closed form, Monte Carlo) see both through
+one interface: ``delays`` and ``powers`` per tap, and ``doppler_nodes(L)``,
+per-sample angular Dopplers theta whose mean of exp(j theta r) is the tap's
+time autocorrelation at every lag |r| < L (:func:`doppler_correlation`).  A path
 list has one exact node per path, shape (K, 1); a separable channel shares
 the Gauss-Chebyshev nodes of its Jakes density (:func:`jakes_nodes`) among
 all taps, shape (1, G), whose mean is J0(pi Bd Ts r) to 1e-14.

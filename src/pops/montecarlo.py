@@ -7,20 +7,31 @@ estimates the SINR at the (0, 0) decision variable by averaging over trials.
 No kernel matrices, no closed forms; agreement with ``pops.sinr`` is the
 strongest end-to-end check the package has.
 
+The channel is read through the interface every evaluator uses: ``delays``,
+``powers`` and ``doppler_nodes(L)``.  Each (tap, node) pair is one simulated
+path, carrying its tap's power split evenly over the tap's nodes: one path
+per entry of a path list, G Jakes nodes per tap of a separable channel.
+The Doppler phases enter only at receive-window samples, so nodes exact at
+every lag below the window length (``L = len(rx)``) give path gains with
+exactly the channel's second-order statistics, which is all the SINR
+depends on under the WSSUS model.
+
 Per trial the transmitted signal is
 
     e(q) = sum_{m,n} a_mn phi(q - nN) exp(2j pi m q / Q)
 
 (the m-sum is a length-Q inverse DFT), the received signal is
 
-    r(p) = sum_k h_k e(p - p_k) exp(2j pi nu_k Ts p) + noise(p)
+    r(p) = sum_k h_k e(p - p_k) exp(j theta_k p) + noise(p)
 
-with ``h_k`` centered complex Gaussian of variance ``pi_k``, and the decision
-variable is ``Lambda = <psi_00, r>``.  The useful part is isolated by running
-the channel on the ``a_00`` term alone (exact separation by linearity), the
-noise part by correlating the noise vector alone; the interference part is
-the remainder.  Reported powers are normalized by ``E_phi * E_psi`` so they
-are directly comparable to ``SinrReport`` fields.
+with ``h_k`` centered complex Gaussian of variance ``pi_k`` and ``theta_k``
+the path's node, and the decision variable is ``Lambda = <psi_00, r>``.  The
+paths of one delay are summed into one time-varying gain over the receive
+window before it multiplies the delayed signal.  The useful part is isolated
+by running the channel on the ``a_00`` term alone (exact separation by
+linearity), the noise part by correlating the noise vector alone; the
+interference part is the remainder.  Reported powers are normalized by
+``E_phi * E_psi`` so they are directly comparable to ``SinrReport`` fields.
 """
 
 from __future__ import annotations
@@ -52,10 +63,11 @@ class McConfig:
         "gaussian" for unit-power circular complex Gaussian symbols or
         "qpsk" for unit-modulus QPSK symbols.
     doppler_grid_size : int
-        Quantile grid used to discretize a separable channel's Jakes
-        spectrum (ignored for explicit path lists).
+        Retired: the estimator simulates the channel's Doppler nodes
+        (``doppler_nodes``), not a quantile grid.  Only the old default, 64,
+        is accepted, so that a setting that no longer acts is never ignored.
     rng_seed : int
-        Seed for the reproducible generator tree.
+        Nonnegative seed for the reproducible generator tree.
     chunk_size : int
         Trials are vectorized in chunks of this size to bound memory.
     """
@@ -67,14 +79,22 @@ class McConfig:
     chunk_size: int = 8192
 
     def __post_init__(self) -> None:
-        if not isinstance(self.trials, int) or self.trials < 1:
-            raise ValueError(f"trials must be a positive integer, got {self.trials}")
+        for name, least in (("trials", 1), ("rng_seed", 0), ("chunk_size", 1)):
+            value = getattr(self, name)
+            if not _is_integer(value) or value < least:
+                kind = "positive" if least else "non-negative"
+                raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
         if self.alphabet not in _ALPHABETS:
             raise ValueError(f"alphabet must be one of {_ALPHABETS}, got {self.alphabet!r}")
-        if not isinstance(self.doppler_grid_size, int) or self.doppler_grid_size < 1:
-            raise ValueError("doppler_grid_size must be a positive integer")
-        if not isinstance(self.chunk_size, int) or self.chunk_size < 1:
-            raise ValueError("chunk_size must be a positive integer")
+        if not (_is_integer(self.doppler_grid_size) and self.doppler_grid_size == 64):
+            raise ValueError(
+                f"doppler_grid_size is retired (got {self.doppler_grid_size!r}): Monte Carlo "
+                "simulates the channel's Doppler nodes; leave it at 64"
+            )
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -128,27 +148,31 @@ def estimate_sinr(
     powers and whose ``se`` is the leave-one-out jackknife standard error of
     that ratio.
     """
-    if isinstance(ch, SeparableChannel):
-        paths = ch.to_pathlist(mc.doppler_grid_size)
-    else:
-        paths = ch
-    if paths.Ts != cfg.Ts:
-        raise ValueError(f"channel Ts = {paths.Ts} does not match lattice Ts = {cfg.Ts}")
+    if ch.Ts != cfg.Ts:
+        raise ValueError(f"channel Ts = {ch.Ts} does not match lattice Ts = {cfg.Ts}")
     if not snr > 0.0:
         raise ValueError(f"snr must be positive, got {snr}")
 
     N, Q = cfg.N, cfg.Q
-    delays = paths.delays.astype(np.int64)
-    nu_ts = paths.dopplers * cfg.Ts
-    powers = paths.powers
-    max_delay = int(delays.max())
+    l_rx = rx.samples.size
+    window = rx.offset + np.arange(l_rx)
+    # One path per (tap, node), tap-major: the phases enter only at window
+    # samples, so nodes exact at every lag |r| < l_rx give the exact statistics.
+    nodes = ch.doppler_nodes(l_rx)
+    G = nodes.shape[1]
+    theta = np.broadcast_to(nodes, (ch.delays.size, G)).ravel()
+    powers = np.repeat(ch.powers / G, G)
+    path_delay = np.repeat(ch.delays.astype(np.int64), G)
+    path_phase = np.exp(1j * theta[:, None] * window)
+    # Paths are sorted by delay: the paths of each distinct delay are a slice.
+    delays, first = np.unique(path_delay, return_index=True)
+    taps = [slice(lo, hi) for lo, hi in zip(first, [*first[1:], path_delay.size])]
+    max_delay = int(delays[-1])
 
     n_lo, n_hi = required_symbol_span(tx, rx, max_delay, N)
     slots = np.arange(n_lo, n_hi + 1)
     slot0 = -n_lo
 
-    l_rx = rx.samples.size
-    window = rx.offset + np.arange(l_rx)
     span_lo = rx.offset - max_delay
     span_len = rx.end - span_lo
     l_tx = tx.samples.size
@@ -160,13 +184,10 @@ def estimate_sinr(
         keep = (g >= span_lo) & (g < span_lo + span_len)
         slot_maps.append((g[keep] - span_lo, g[keep] % Q, tx.samples[keep]))
 
-    # Per-path receive-window gather and Doppler phase.
-    path_idx = [window - d - span_lo for d in delays]
-    path_phase = [np.exp(2j * np.pi * nt * window) for nt in nu_ts]
-    # Useful-branch response: channel applied to the slot-0, subcarrier-0 pulse.
-    v_use = np.stack(
-        [tx.dense(rx.offset - d, l_rx) * ph for d, ph in zip(delays, path_phase)]
-    )
+    # Per-delay receive-window gather, and the slot-0, subcarrier-0 pulse it
+    # delivers there (the useful branch).
+    tap_idx = [window - d - span_lo for d in delays]
+    tap_use = [tx.dense(rx.offset - d, l_rx) for d in delays]
 
     noise_var = tx.energy / snr if math.isfinite(snr) else 0.0
     psi_c = rx.samples.conj()
@@ -182,7 +203,8 @@ def estimate_sinr(
         remaining -= chunk
 
         a = _draw_symbols(rng, (chunk, len(slots), Q), mc.alphabet)
-        h = (rng.standard_normal((chunk, paths.K)) + 1j * rng.standard_normal((chunk, paths.K)))
+        h = (rng.standard_normal((chunk, powers.size))
+             + 1j * rng.standard_normal((chunk, powers.size)))
         h *= np.sqrt(powers / 2.0)
 
         e_span = np.zeros((chunk, span_len), dtype=np.complex128)
@@ -193,9 +215,12 @@ def estimate_sinr(
             e_span[:, pos] += base[:, car] * amp
 
         r_full = np.zeros((chunk, l_rx), dtype=np.complex128)
-        for k in range(paths.K):
-            r_full += h[:, k, None] * e_span[:, path_idx[k]] * path_phase[k]
-        r_use = a[:, slot0, 0, None] * (h @ v_use)
+        r_use = np.zeros((chunk, l_rx), dtype=np.complex128)
+        for tap, idx, use in zip(taps, tap_idx, tap_use):
+            gain = h[:, tap] @ path_phase[tap]  # the tap's gain at each window sample
+            r_full += gain * e_span[:, idx]
+            r_use += gain * use
+        r_use *= a[:, slot0, 0, None]
 
         lam_use = r_use @ psi_c
         lam_int = (r_full - r_use) @ psi_c

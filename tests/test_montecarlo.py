@@ -1,7 +1,9 @@
 """Direct link simulation as an independent check on the kernel algebra."""
 
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pops import (
@@ -15,6 +17,7 @@ from pops import (
     required_symbol_span,
     sinr,
 )
+from pops.cli import EXIT_VALIDATION, main
 
 
 class TestMcConfig:
@@ -27,6 +30,30 @@ class TestMcConfig:
             McConfig(trials=10, chunk_size=0)
         with pytest.raises(ValueError):
             McConfig(trials=10, doppler_grid_size=0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("trials", True), ("chunk_size", True), ("rng_seed", True),
+        ("rng_seed", -1), ("rng_seed", 1.5), ("trials", 100.0),
+    ])
+    def test_integers_only(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            McConfig(**{"trials": 10, field: value})
+
+    def test_numpy_integers_accepted(self):
+        mc = McConfig(trials=np.int64(100), rng_seed=np.uint32(0), chunk_size=np.int32(7))
+        assert mc.trials == 100
+
+    def test_doppler_grid_size_is_retired(self):
+        assert McConfig(trials=10).doppler_grid_size == 64
+        with pytest.raises(ValueError, match="retired.*Doppler nodes"):
+            McConfig(trials=10, doppler_grid_size=16)
+
+    def test_cli_names_a_bad_seed(self, tmp_path, capsys):
+        ini = Path(__file__).resolve().parent.parent / "demos" / "scenarios" / "small.ini"
+        code = main(["montecarlo", str(ini), "--set", "mc.rng_seed=-1",
+                     "--set", f"run.output_dir={tmp_path}"])
+        assert code == EXIT_VALIDATION
+        assert "mc: rng_seed" in capsys.readouterr().err
 
 
 class TestSymbolSpan:
@@ -90,6 +117,44 @@ class TestAgainstAnalytic:
                             McConfig(trials=10_000, rng_seed=13))
         assert est.sinr == pytest.approx(est.ps / (est.pi + est.pn), rel=1e-12)
         assert est.trials == 10_000
+
+
+class TestDopplerNodes:
+    """A separable channel is simulated as one path per (tap, Doppler node)."""
+
+    def setup_method(self):
+        self.cfg = LatticeConfig(N=20, Q=16)
+        self.tx = make_conventional_tx(self.cfg)
+        self.rx = make_conventional_rx(self.cfg)
+
+    def test_equals_the_path_list_of_its_nodes(self):
+        ch = SeparableChannel.from_spread_product(self.cfg, 0.01)
+        nodes = ch.doppler_nodes(len(self.rx))[0]
+        paths = PathList.from_paths(
+            [(d, theta / (2.0 * math.pi * ch.Ts), p / nodes.size)
+             for d, p in zip(ch.delays, ch.powers) for theta in nodes], Ts=ch.Ts)
+        mc = McConfig(trials=3000, rng_seed=4)
+        a = estimate_sinr(self.tx, self.rx, ch, self.cfg, 10.0, mc)
+        b = estimate_sinr(self.tx, self.rx, paths, self.cfg, 10.0, mc)
+        for field in ("ps", "pi", "pn", "se"):
+            assert getattr(a, field) == pytest.approx(getattr(b, field), rel=1e-12), field
+
+    def test_builds_no_quantile_grid(self, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("estimate_sinr must read doppler_nodes")
+
+        monkeypatch.setattr(SeparableChannel, "to_pathlist", refuse)
+        ch = SeparableChannel.from_spread_product(self.cfg, 0.01)
+        estimate_sinr(self.tx, self.rx, ch, self.cfg, 10.0, McConfig(trials=100))
+
+    @pytest.mark.parametrize("bd_ts,nodes", [(0.05, 10), (0.2, 17)])
+    def test_fast_fading_matches_kernels(self, bd_ts, nodes):
+        ch = SeparableChannel.with_uniform_delays(K=3, b=0.5, max_delay=6, Bd=bd_ts)
+        assert ch.doppler_nodes(len(self.rx)).shape == (1, nodes)
+        want = sinr(self.tx, self.rx, ch, self.cfg, 10.0).sinr
+        est = estimate_sinr(self.tx, self.rx, ch, self.cfg, 10.0,
+                            McConfig(trials=20_000, rng_seed=17))
+        assert abs(est.sinr - want) < 3.0 * est.se
 
 
 class TestEstimatorStatistics:
