@@ -23,6 +23,7 @@ E|h_k|^2 = pi_k and total power sum(pi_k) = 1.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -59,7 +60,9 @@ def jakes_nodes(bd_ts: float, L: int) -> np.ndarray:
 
     The truncation error is 2 |J_2G(pi Bd Ts (L - 1))| at most; it is held to
     half the target, which leaves the rest to the rounding of the mean.  The
-    result is cached and read-only: kernel assembly asks for it twice per pair.
+    result is cached and read-only: the bound, the closed form and Monte Carlo
+    ask for it on every call, kernel assembly only when it builds a layout
+    (twice; see :mod:`pops.kernels`).
     """
     x = math.pi * bd_ts * (L - 1)
     G = 1
@@ -76,8 +79,31 @@ def doppler_correlation(nodes: np.ndarray, lags) -> np.ndarray:
     return np.exp(1j * nodes[:, :, None] * np.asarray(lags, dtype=float)).mean(axis=1)
 
 
-@dataclass(frozen=True)
-class PathList:
+class _Value:
+    """Equality and hash by field values, arrays compared element by element.
+
+    The hash reads arrays through ``tolist()``, so values that compare equal
+    hash alike (a Doppler of -0.0 and one of 0.0 included).  The fields are
+    read-only, so the key is made once per object: the kernel layouts look a
+    channel up on every assembly.
+    """
+
+    @functools.cached_property
+    def _key(self) -> tuple:
+        values = (getattr(self, f.name) for f in dataclasses.fields(self))
+        return tuple(tuple(v.tolist()) if isinstance(v, np.ndarray) else v for v in values)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
+
+
+@dataclass(frozen=True, eq=False)
+class PathList(_Value):
     """Explicit discrete scattering function: paths (p_k, nu_k, pi_k).
 
     Paths are kept sorted by (delay, doppler); delays are nonnegative integer
@@ -143,8 +169,8 @@ class PathList:
         return (2.0 * np.pi * self.Ts * self.dopplers)[:, None]
 
 
-@dataclass(frozen=True)
-class SeparableChannel:
+@dataclass(frozen=True, eq=False)
+class SeparableChannel(_Value):
     """Exponential delay profile (decay b over `delays`) times Jakes Doppler spread Bd."""
 
     K: int

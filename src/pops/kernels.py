@@ -33,6 +33,18 @@ No L x L product is formed:
 Assembly costs O(L (r + J m)) for J lattice shifts, a half-step O(L (m^2 + m r + r^2) + r^3),
 and the forms of P receivers on the window (:meth:`KernelMatrix.forms`) O(L r P + Q m^2 P).
 
+Only the pulse's samples change from one ping-pong half-step to the next, so
+what the kernels take from the geometry is built once and memoized (an LRU of
+16 layouts per kernel): for KS, keyed by (channel, L, window start, pulse
+offset, pulse length), the taps' gather starts, sqrt(pi_k) and the node phases
+per node; for T, keyed by those and the lattice, the (tap, shift) rows'
+gather starts, sqrt(pi_k) and tap indices, the comb Toeplitz of the Doppler
+correlation (or the taps' phase rows for one node per tap) and the
+valid-sample mask.  Channels and lattices are values, so an equal channel
+built anew hits too.  After a hit, assembly costs only the gather and the comb
+products.  At L = 896 with 8 taps and 7 nodes an entry holds about 100 kB for
+KS (the node phases, 16 G L bytes) and 9 kB for T.
+
 Kernels come in one orientation, S(p, nu).  The role-swapped S(-p, -nu)
 kernels of w on [s, s+L) are the index-reversed kernels of time_reverse(w) on
 [-(s+L-1), -s+1): reversing time negates every delay and Doppler.  So the pong
@@ -41,6 +53,7 @@ half-step needs no second orientation: it runs on the time-reversed receiver.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -51,6 +64,8 @@ from .channel import doppler_correlation
 from .lattice import LatticeConfig, Waveform
 
 __all__ = ["KernelMatrix", "build_ks", "build_ki", "build_ks_kin", "best_window_start"]
+
+_LAYOUTS = 16
 
 
 @dataclass(frozen=True)
@@ -139,11 +154,77 @@ def best_window_start(w: Waveform, ch, L_out: int) -> int:
     return int(s_vals[int(np.argmax(trace))])
 
 
-def _rows(w: Waveform, s: int, L: int, shifts: np.ndarray) -> np.ndarray:
-    """Rows w(s + p - t) for p < L, one per shift t."""
-    padded = np.concatenate((np.zeros(L), w.samples, np.zeros(L)))
-    idx = (s - w.offset + L) - shifts[:, None] + np.arange(L)
-    return padded[np.clip(idx, 0, padded.size - 1)]
+@dataclass(frozen=True)
+class _UsefulLayout:
+    """What KS takes from the geometry: one gather start per tap, clipped to
+    [0, n + L] (a start outside reads only padding either way), the tap
+    amplitudes sqrt(pi_k), and the node phases exp(j theta r) / sqrt(G),
+    shape (K or 1, G, L)."""
+
+    starts: np.ndarray
+    amp: np.ndarray
+    phase: np.ndarray
+
+
+@dataclass(frozen=True)
+class _TotalLayout:
+    """What T takes from the geometry: per (tap, shift) row its gather start
+    (in range, as the shift overlaps the window), sqrt(pi_k) and tap index;
+    the taps' phase rows (K, L) for one node per tap, or else the comb
+    Toeplitz (m, m) of the shared nodes' correlation; and the valid-sample
+    mask (Q, m) of the comb blocks."""
+
+    starts: np.ndarray
+    amp: np.ndarray
+    path: np.ndarray
+    phase: np.ndarray | None
+    toeplitz: np.ndarray | None
+    valid: np.ndarray
+
+
+def _frozen(cls, **arrays):
+    """cls built from the arrays, each made read-only: a cached layout is shared."""
+    for arr in arrays.values():
+        if arr is not None:
+            arr.flags.writeable = False
+    return cls(**arrays)
+
+
+@functools.lru_cache(maxsize=_LAYOUTS)
+def _useful_layout(ch, L: int, s: int, offset: int, n: int) -> _UsefulLayout:
+    nodes = ch.doppler_nodes(L)
+    phase = np.exp(1j * nodes[:, :, None] * np.arange(L)) / math.sqrt(nodes.shape[1])
+    return _frozen(_UsefulLayout, starts=np.clip((s - offset + L) - ch.delays, 0, n + L),
+                   amp=np.sqrt(ch.powers), phase=phase)
+
+
+@functools.lru_cache(maxsize=_LAYOUTS)
+def _total_layout(ch, cfg: LatticeConfig, L: int, s: int, offset: int, n: int) -> _TotalLayout:
+    if abs(ch.Ts - cfg.Ts) > 0:
+        raise ValueError(f"channel Ts={ch.Ts} disagrees with lattice Ts={cfg.Ts}")
+    useful, N, Q = _useful_layout(ch, L, s, offset, n), cfg.N, cfg.Q
+    delays, nodes = ch.delays, ch.doppler_nodes(L)
+    # Shift d + nN overlaps [s, s+L) for n in [n_lo, n_hi].
+    n_lo = (s - delays - offset - n) // N + 1
+    n_hi = -((offset - s + delays - L) // N) - 1
+    path = np.repeat(np.arange(len(delays)), np.maximum(n_hi - n_lo + 1, 0))
+    shifts = delays[path] + (n_lo[path] + np.arange(path.size) - np.searchsorted(path, path)) * N
+    if nodes.shape[1] == 1:  # one node per tap phases that tap's rows
+        phase, toep = np.broadcast_to(useful.phase[:, 0], (len(delays), L)), None
+    else:  # a node row shared by all taps: its mean phase at lags Q k, k < m
+        phase, toep = None, toeplitz(doppler_correlation(nodes, Q * np.arange(-(-L // Q)))[0])
+    return _frozen(_TotalLayout, starts=(s - offset + L) - shifts, amp=useful.amp[path],
+                   path=path, phase=phase, toeplitz=toep, valid=to_comb(np.ones(L), Q))
+
+
+def _gather(w: Waveform, L: int, starts: np.ndarray) -> np.ndarray:
+    """Rows w(s + p - t) for p < L, one per layout start (s - offset + L) - t,
+    read from the pulse zero-padded by L on both sides; a start lies in [0, n + L]."""
+    n = len(w)
+    padded = np.zeros(n + 2 * L, dtype=np.complex128)
+    padded[L : L + n] = w.samples
+    windows = np.ndarray((n + L + 1, L), padded.dtype, padded, strides=2 * padded.strides)
+    return windows[starts]
 
 
 def build_ks(w: Waveform, ch, L_out: int, window_start: int | None = None) -> KernelMatrix:
@@ -155,10 +236,9 @@ def build_ks(w: Waveform, ch, L_out: int, window_start: int | None = None) -> Ke
     if L_out < 1:
         raise ValueError(f"L_out must be >= 1, got {L_out}")
     s = best_window_start(w, ch, L_out) if window_start is None else int(window_start)
-    rows = _rows(w, s, L_out, ch.delays) * np.sqrt(ch.powers)[:, None]
-    nodes = ch.doppler_nodes(L_out)
-    phase = np.exp(1j * nodes[:, :, None] * np.arange(L_out)) / math.sqrt(nodes.shape[1])
-    rows = (rows[:, None, :] * phase).reshape(-1, L_out)
+    lay = _useful_layout(ch, L_out, s, w.offset, len(w))
+    rows = _gather(w, L_out, lay.starts) * lay.amp[:, None]
+    rows = (rows[:, None, :] * lay.phase).reshape(-1, L_out)
     if len(rows) > L_out:  # more columns than samples: Doppler spreads near the sample rate
         rows = np.linalg.qr(rows, mode="r")  # C^T = Q R gives C C^H = R^T conj(R)
     return KernelMatrix(rows.T, s)
@@ -168,26 +248,17 @@ def _total(w: Waveform, ch, cfg: LatticeConfig, ks: KernelMatrix,
            noise: float = 0.0) -> KernelMatrix:
     """T = KS + KI + noise I on the window of ks, as comb blocks: the total over
     lattice shifts, plus noise on the window's samples (not on the padding)."""
-    if abs(ch.Ts - cfg.Ts) > 0:
-        raise ValueError(f"channel Ts={ch.Ts} disagrees with lattice Ts={cfg.Ts}")
-    L, s, N = ks.L, ks.window_start, cfg.N
-    delays, nodes = ch.delays, ch.doppler_nodes(L)
-    # Shift d + nN overlaps [s, s+L) for n in [n_lo, n_hi].
-    n_lo = (s - delays - w.end) // N + 1
-    n_hi = -((w.offset - s + delays - L) // N) - 1
-    path = np.repeat(np.arange(len(delays)), np.maximum(n_hi - n_lo + 1, 0))
-    n = n_lo[path] + np.arange(path.size) - np.searchsorted(path, path)
-    rows = _rows(w, s, L, delays[path] + n * N) * np.sqrt(ch.powers[path])[:, None]
-    if nodes.shape[1] == 1:  # one node per tap phases that tap's rows
-        theta = np.broadcast_to(nodes, (delays.size, 1))[path]
-        rows = rows * np.exp(1j * theta * np.arange(L))
-    u = to_comb(rows.T, cfg.Q)  # (Q, m, J)
-    blocks = cfg.Q * (u @ u.conj().swapaxes(1, 2))
-    if nodes.shape[1] > 1:  # a node row shared by all taps: its mean phase at lags Q k
-        blocks *= toeplitz(doppler_correlation(nodes, cfg.Q * np.arange(u.shape[1]))[0])
+    L, s, Q = ks.L, ks.window_start, cfg.Q
+    lay = _total_layout(ch, cfg, L, s, w.offset, len(w))
+    rows = _gather(w, L, lay.starts) * lay.amp[:, None]
+    if lay.phase is not None:
+        rows = rows * lay.phase[lay.path]
+    u = to_comb(rows.T, Q)  # (Q, m, J)
+    blocks = Q * (u @ u.conj().swapaxes(1, 2))
+    if lay.toeplitz is not None:
+        blocks *= lay.toeplitz
     if noise:
-        valid = to_comb(np.ones(L), cfg.Q)
-        blocks += noise * valid[:, :, None] * np.eye(valid.shape[1])
+        blocks.reshape(Q, -1)[:, :: blocks.shape[1] + 1] += noise * lay.valid
     return KernelMatrix(blocks, s, ks.data)
 
 

@@ -43,6 +43,7 @@ import numpy as np
 
 from .channel import PathList, SeparableChannel
 from .lattice import LatticeConfig, Waveform
+from .sinr import power_ratio
 
 __all__ = ["McConfig", "McEstimate", "estimate_sinr", "required_symbol_span"]
 
@@ -145,8 +146,9 @@ def estimate_sinr(
     """Estimate the SINR of the pair (tx, rx) by direct simulation.
 
     Returns an :class:`McEstimate` whose ``sinr`` is the ratio of averaged
-    powers and whose ``se`` is the leave-one-out jackknife standard error of
-    that ratio.
+    powers, read under the zero-interference rule of
+    :func:`~pops.sinr.power_ratio`, and whose ``se`` is the leave-one-out
+    jackknife standard error of that ratio (inf when the ratio is).
     """
     if ch.Ts != cfg.Ts:
         raise ValueError(f"channel Ts = {ch.Ts} does not match lattice Ts = {cfg.Ts}")
@@ -244,10 +246,10 @@ def estimate_sinr(
     pi = float(v.mean()) / scale
     pn = float(w.mean()) / scale
     denom = pi + pn
-    est = ps / denom if denom > 0.0 else math.inf
+    est = power_ratio(ps, denom)
 
     # Leave-one-out jackknife of the ratio of sums.
-    if mc.trials > 1 and denom > 0.0:
+    if mc.trials > 1 and math.isfinite(est) and denom > 0.0:
         usum, dsum = u.sum(), (v + w).sum()
         loo = (usum - u) / (dsum - (v + w))
         se = float(np.sqrt((t - 1.0) / t * np.sum((loo - loo.mean()) ** 2)))

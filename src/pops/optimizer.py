@@ -77,6 +77,23 @@ class PopsResult:
         return self.sinr_trajectory[-1][2]
 
 
+# LAPACK's Hermitian eigensolver for an index range, the call scipy.linalg.eigh
+# makes for subset_by_index, without its per-call argument handling.
+_HEEVR, _HEEVR_LWORK = scipy.linalg.lapack.get_lapack_funcs(("heevr", "heevr_lwork"),
+                                                            dtype=np.complex128)
+
+
+def _top_eigenvector(A: np.ndarray) -> np.ndarray:
+    """Eigenvector of the largest eigenvalue of the Hermitian matrix A (read from its lower triangle)."""
+    n = len(A)
+    lwork, lrwork, liwork, _ = _HEEVR_LWORK(n, lower=1)
+    _, v, _, _, info = _HEEVR(A, compute_v=1, lower=1, range="I", il=n, iu=n,
+                              lwork=int(lwork.real), lrwork=int(lrwork), liwork=int(liwork))
+    if info != 0:
+        raise np.linalg.LinAlgError(f"heevr failed with info={info}")
+    return v[:, 0]
+
+
 def half_step(ks: KernelMatrix, kin: KernelMatrix,
               notes: list[str] | None = None) -> tuple[Waveform, float]:
     """Maximizer of x^H KS x / x^H KIN x and its value (see the module docstring).
@@ -91,15 +108,18 @@ def half_step(ks: KernelMatrix, kin: KernelMatrix,
     # W = T^(-1/2) C per block: W^H W = C^H T^-1 C, whose top eigenvector is y.
     W = scale[..., None] * (U.conj().swapaxes(1, 2) @ to_comb(ks.data, len(lam)))
     flat = W.reshape(-1, W.shape[-1])
-    _, Y = scipy.linalg.eigh(flat.conj().T @ flat, subset_by_index=[flat.shape[1] - 1] * 2)
-    vec = from_comb((U @ (scale * (W @ Y[:, 0]))[..., None])[..., 0], L)  # x = T^-1 C y
+    y = _top_eigenvector(flat.conj().T @ flat)
+    vec = from_comb((U @ (scale * (W @ y))[..., None])[..., 0], L)  # x = T^-1 C y
     if not vec.any():  # KS = 0 on the window: every x has value 0
         vec = np.eye(1, L, dtype=complex)[0]
     if keep.sum() < L and notes is not None:
         notes.append(f"KS + KIN singular (rank {int(keep.sum())} of {L}); solved on its range")
-    w = phase_fixed(normalized(Waveform(vec, offset=ks.window_start)))
-    ps, pin = kin.forms(w.dense(kin.window_start, L)[:, None])
-    return w, power_ratio(float(ps[0]), float(pin[0]))
+    # normalized() then phase_fixed(), on the array: unit energy, largest sample real positive.
+    vec = vec / np.sqrt(np.sum(np.abs(vec) ** 2))
+    pivot = vec[np.argmax(np.abs(vec))]
+    vec = vec * (np.conj(pivot) / abs(pivot))
+    ps, pin = kin.forms(vec[:, None])  # vec is x on the window of kin
+    return Waveform(vec, offset=ks.window_start), power_ratio(float(ps[0]), float(pin[0]))
 
 
 # One-entry solver table: the benchmark's tracer finds the half-step here.

@@ -117,6 +117,39 @@ class TestSeparableChannel:
         np.testing.assert_allclose(got, j0(np.pi * 0.02 * 2.0 * lags), rtol=1e-12)
 
 
+class TestChannelsAreValues:
+    """Equal fields make equal channels with equal hashes; the kernel layouts are keyed on them."""
+
+    PATHS = [(0, 0.0, 0.5), (2, 0.01, 0.3), (5, -0.02, 0.2)]
+
+    def separable(self, **changes):
+        fields = dict(K=3, b=0.5, delays=[0, 2, 5], Bd=0.004, Ts=1.0) | changes
+        return SeparableChannel(**fields)
+
+    def test_equal_values_are_equal_and_hash_alike(self):
+        for a, b in [(self.separable(), self.separable(delays=np.array([0, 2, 5]))),
+                     (PathList.from_paths(self.PATHS), PathList.from_paths(self.PATHS)),
+                     # -0.0 == 0.0, so the two must hash alike too
+                     (PathList.from_paths([(0, 0.0, 1.0)]), PathList.from_paths([(0, -0.0, 1.0)]))]:
+            assert a is not b and a == b and hash(a) == hash(b)
+            assert len({a, b}) == 1
+
+    def test_any_changed_field_makes_them_unequal(self):
+        base = self.separable()
+        for changed in [self.separable(b=0.6), self.separable(Bd=0.005),
+                        self.separable(delays=[0, 2, 6]), self.separable(Ts=0.5)]:
+            assert changed != base
+        paths = PathList.from_paths(self.PATHS)
+        for i, field in [(1, 0), (1, 1), (0, 2)]:
+            tweaked = [list(p) for p in self.PATHS]
+            tweaked[i][field] += 1 if field == 0 else 0.001
+            tweaked[2][2] -= 0.001 if field == 2 else 0.0  # powers still sum to 1
+            assert PathList.from_paths(tweaked) != paths, (i, field)
+        assert PathList.from_paths(self.PATHS, Ts=0.5) != paths
+        assert paths != base
+        assert PathList.ideal() != SeparableChannel(K=1, b=0.5, delays=[0], Bd=0.0)
+
+
 class TestDopplerDiscretization:
     """Quantile sampling of the Jakes spectrum into discrete paths."""
 

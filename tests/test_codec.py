@@ -87,6 +87,7 @@ def test_round_trip_is_bit_exact(hint, values, data):
     value = data.draw(values)
     back = decode(hint, json.loads(json.dumps(encode(value))))
     assert bits(back) == bits(value)
+    assert back == value
 
 
 def test_layout():

@@ -7,6 +7,7 @@ time-reversal identities, and a sync sweep's one kernel per pair must give
 every point the SINR of its own evaluation.
 """
 
+import dataclasses
 import math
 from datetime import timedelta
 
@@ -36,8 +37,11 @@ from pops import (
     sweep_time_sync,
 )
 from pops.channel import doppler_correlation, jakes_nodes
+from pops.codec import Channel, decode, encode
+from pops.kernels import _total_layout, _useful_layout
 
 IDEAL = PathList.ideal()
+LAYOUTS = (_useful_layout, _total_layout)
 PROPERTY = settings(max_examples=30, deadline=timedelta(seconds=5), derandomize=True,
                     database=None)
 
@@ -76,19 +80,69 @@ def instances(draw):
     return cfg, ch, w, length, start, snr
 
 
-@PROPERTY
-@given(instances())
-def test_structured_kernels_expand_to_dense(inst):
-    cfg, ch, w, length, start, snr = inst
-    ks, kin = build_ks_kin(w, ch, cfg, length, snr, window_start=start)
-    s = ks.window_start
-    assert kin.window_start == s and ks.L == kin.L == length
+def _assert_dense(ks, kin, w, ch, cfg, snr):
+    """The structured pair equals the dense KS and KI + noise I to 1e-10 of its largest entry."""
+    length, s = ks.L, ks.window_start
+    assert kin.window_start == s and kin.L == length
     want_ks = dense_ks(w, ch, length, s)
     noise = 0.0 if math.isinf(snr) else w.energy / snr
     want_kin = dense_ki(w, ch, cfg, length, s) + noise * np.eye(length)
     scale = max(np.abs(want_ks).max(), np.abs(want_kin).max())
     np.testing.assert_allclose(expand(ks), want_ks, rtol=0, atol=1e-10 * scale)
     np.testing.assert_allclose(expand(kin), want_kin, rtol=0, atol=1e-10 * scale)
+
+
+@PROPERTY
+@given(instances())
+def test_structured_kernels_expand_to_dense(inst):
+    # Built once on an empty layout cache (a miss) and once more for an
+    # equal channel that is another object (a hit): both equal the dense
+    # oracle, and the hit repeats the miss bit for bit.
+    cfg, ch, w, length, start, snr = inst
+    for layout in LAYOUTS:
+        layout.cache_clear()
+    ks, kin = build_ks_kin(w, ch, cfg, length, snr, window_start=start)
+    assert ks.L == length
+    _assert_dense(ks, kin, w, ch, cfg, snr)
+    same = decode(Channel, encode(ch))
+    assert same is not ch
+    ks2, kin2 = build_ks_kin(w, same, cfg, length, snr, window_start=start)
+    assert [layout.cache_info().misses for layout in LAYOUTS] == [1, 1]
+    assert _total_layout.cache_info().hits == 1
+    _assert_dense(ks2, kin2, w, same, cfg, snr)
+    for a, b in ((ks, ks2), (kin, kin2)):
+        assert a.window_start == b.window_start and np.array_equal(a.data, b.data)
+
+
+@PROPERTY
+@given(instances(), st.sampled_from(["Bd", "delay"]))
+def test_channels_differing_in_one_value_share_no_layout(inst, what):
+    # Built right after its neighbour on the same geometry, each channel's
+    # kernels still equal its own dense oracle.
+    cfg, ch, w, length, start, snr = inst
+    if what == "Bd":
+        assume(isinstance(ch, SeparableChannel))
+        other = dataclasses.replace(ch, Bd=ch.Bd + 0.05 if ch.Bd < 0.9 else ch.Bd / 2)
+    elif isinstance(ch, SeparableChannel):
+        other = dataclasses.replace(ch, delays=ch.delays + np.eye(1, ch.K, ch.K - 1, dtype=int)[0])
+    else:
+        other = PathList(ch.delays + np.eye(1, ch.K, ch.K - 1, dtype=int)[0], ch.dopplers,
+                         ch.powers, ch.Ts)
+    assert other != ch
+    s = build_ks_kin(w, ch, cfg, length, snr, window_start=start)[0].window_start
+    for c in (ch, other, ch):
+        _assert_dense(*build_ks_kin(w, c, cfg, length, snr, window_start=s), w, c, cfg, snr)
+
+
+def test_layout_cache_stays_bounded():
+    cfg = LatticeConfig(N=12, Q=8)
+    ch = SeparableChannel.from_spread_product(cfg, 0.01)
+    w = random_waveform(np.random.default_rng(0), 12, offset=-6)
+    for start in range(-40, 40):
+        build_ks_kin(w, ch, cfg, 16, 10.0, window_start=start)
+    for layout in LAYOUTS:
+        info = layout.cache_info()
+        assert info.currsize == info.maxsize and info.misses >= 80
 
 
 @PROPERTY

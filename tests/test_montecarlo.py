@@ -96,6 +96,7 @@ class TestAgainstAnalytic:
                             McConfig(trials=4000, rng_seed=1))
         assert est.pi / est.ps < 1e-12
         assert est.pn == 0.0
+        assert est.sinr == math.inf
 
     def test_dispersive_channel_matches_kernels(self):
         ch = SeparableChannel.from_spread_product(self.cfg, 0.01)
