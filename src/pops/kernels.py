@@ -34,16 +34,21 @@ Assembly costs O(L (r + J m)) for J lattice shifts, a half-step O(L (m^2 + m r +
 and the forms of P receivers on the window (:meth:`KernelMatrix.forms`) O(L r P + Q m^2 P).
 
 Only the pulse's samples change from one ping-pong half-step to the next, so
-what the kernels take from the geometry is built once and memoized (an LRU of
-16 layouts per kernel): for KS, keyed by (channel, L, window start, pulse
-offset, pulse length), the taps' gather starts, sqrt(pi_k) and the node phases
-per node; for T, keyed by those and the lattice, the (tap, shift) rows'
-gather starts, sqrt(pi_k) and tap indices, the comb Toeplitz of the Doppler
-correlation (or the taps' phase rows for one node per tap) and the
-valid-sample mask.  Channels and lattices are values, so an equal channel
-built anew hits too.  After a hit, assembly costs only the gather and the comb
-products.  At L = 896 with 8 taps and 7 nodes an entry holds about 100 kB for
-KS (the node phases, 16 G L bytes) and 9 kB for T.
+what the kernels take from the geometry is built once and memoized, in an LRU
+of 64 layouts per kernel (a round of sync sweeps and closed-form checks asks
+for about 30 geometries).  For KS the layout is keyed by (channel, L, window
+start, pulse offset, pulse length) and holds the gather index (K, L) of the
+taps' rows in the zero-padded pulse, sqrt(pi_k) and the node phases per node.
+For T it is keyed by those and the lattice, and holds the gather index
+(Q, m, J) of the J (tap, shift) rows already in comb layout, their weights
+sqrt(pi_k) (times the tap's phase for one node per tap), Q times the comb
+Toeplitz of the Doppler correlation (or Q) and the valid-sample mask.
+Channels and lattices are values, so an equal channel built anew hits too.
+After a hit, each kernel costs one padded copy of the pulse, one gather and
+the products.  The indices are int32, half the bytes of numpy's default, and
+read through ``take``.  At L = 768 (N=256/Q=128, D=3) with 8 taps, 7 nodes
+and J = 48 rows an entry holds about 111 kB for KS (the node phases, 16 G L
+bytes, and the index, 4 K L) and 155 kB for T (the index, 4 J m Q bytes).
 
 Kernels come in one orientation, S(p, nu).  The role-swapped S(-p, -nu)
 kernels of w on [s, s+L) are the index-reversed kernels of time_reverse(w) on
@@ -65,7 +70,7 @@ from .lattice import LatticeConfig, Waveform
 
 __all__ = ["KernelMatrix", "build_ks", "build_ki", "build_ks_kin", "best_window_start"]
 
-_LAYOUTS = 16
+_LAYOUTS = 64
 
 
 @dataclass(frozen=True)
@@ -77,7 +82,8 @@ class KernelMatrix:
     blocks (Q, m, m) of T = KS + KIN and ``factor`` the C of that KS, so that
     KIN = T - C C^H.  :meth:`forms` reads the quadratic forms of a stack of
     receivers aligned on the window in one batch; :meth:`quad` is its
-    one-column case.
+    one-column case.  An array given as read-only complex128 is kept as it is;
+    any other input is copied to one and frozen.
     """
 
     data: np.ndarray
@@ -86,10 +92,13 @@ class KernelMatrix:
 
     def __post_init__(self):
         for name in ("data", "factor"):
-            if getattr(self, name) is not None:
-                arr = np.array(getattr(self, name), dtype=np.complex128)
-                arr.flags.writeable = False
-                object.__setattr__(self, name, arr)
+            arr = getattr(self, name)
+            if arr is None or (isinstance(arr, np.ndarray) and arr.dtype == np.complex128
+                               and not arr.flags.writeable):
+                continue  # a read-only complex array is kept as it is, not copied
+            arr = np.array(arr, dtype=np.complex128)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
         if self.factor is None and self.data.ndim != 2:
             raise ValueError(f"a KS factor is L x r, got shape {self.data.shape}")
         if self.factor is not None and self.data.shape[1:] != (-(-self.L // len(self.data)),) * 2:
@@ -120,11 +129,16 @@ class KernelMatrix:
 
 
 def to_comb(x: np.ndarray, Q: int) -> np.ndarray:
-    """Rows of x in comb layout (Q, m, ...): entry [c, a] is row c + a Q, zero past the end."""
+    """Rows of x in comb layout (Q, m, ...): entry [c, a] is row c + a Q, zero past the end.
+
+    Nothing is copied when Q divides the row count and numpy can split x's
+    first axis in place: the result is then a view of x."""
     m = -(-x.shape[0] // Q)
-    padded = np.zeros((m * Q,) + x.shape[1:], dtype=x.dtype)
-    padded[: x.shape[0]] = x
-    return padded.reshape((m, Q) + x.shape[1:]).swapaxes(0, 1)
+    if m * Q != x.shape[0]:
+        padded = np.zeros((m * Q,) + x.shape[1:], dtype=x.dtype)
+        padded[: x.shape[0]] = x
+        x = padded
+    return x.reshape((m, Q) + x.shape[1:]).swapaxes(0, 1)
 
 
 def from_comb(xc: np.ndarray, L: int) -> np.ndarray:
@@ -156,46 +170,48 @@ def best_window_start(w: Waveform, ch, L_out: int) -> int:
 
 @dataclass(frozen=True)
 class _UsefulLayout:
-    """What KS takes from the geometry: one gather start per tap, clipped to
-    [0, n + L] (a start outside reads only padding either way), the tap
-    amplitudes sqrt(pi_k), and the node phases exp(j theta r) / sqrt(G),
-    shape (K or 1, G, L)."""
+    """What KS takes from the geometry: the gather index (K, L) of each tap's
+    row in the pulse zero-padded by L on both sides (row k starts at the tap's
+    start clipped to [0, n + L]: a start outside reads only padding either
+    way), the tap amplitudes sqrt(pi_k) as a (K, 1) column, and the node phases
+    exp(j theta r) / sqrt(G), shape (K or 1, G, L)."""
 
-    starts: np.ndarray
+    index: np.ndarray
     amp: np.ndarray
     phase: np.ndarray
 
 
 @dataclass(frozen=True)
 class _TotalLayout:
-    """What T takes from the geometry: per (tap, shift) row its gather start
-    (in range, as the shift overlaps the window), sqrt(pi_k) and tap index;
-    the taps' phase rows (K, L) for one node per tap, or else the comb
-    Toeplitz (m, m) of the shared nodes' correlation; and the valid-sample
-    mask (Q, m) of the comb blocks."""
+    """What T takes from the geometry: the gather index (Q, m, J) of the J
+    (tap, shift) rows in comb layout (a padding entry reads the padded pulse's
+    first sample, a zero), their weight, sqrt(pi_k) per row or, for one node
+    per tap, sqrt(pi_k) times the tap's phase at each entry (Q, m, J, zero on
+    the padding); the factor applied to the comb blocks, Q times the comb
+    Toeplitz (m, m) of the shared nodes' correlation, or Q; and the
+    valid-sample mask (Q, m)."""
 
-    starts: np.ndarray
-    amp: np.ndarray
-    path: np.ndarray
-    phase: np.ndarray | None
-    toeplitz: np.ndarray | None
+    index: np.ndarray
+    weight: np.ndarray
+    scale: np.ndarray | int
     valid: np.ndarray
 
 
-def _frozen(cls, **arrays):
-    """cls built from the arrays, each made read-only: a cached layout is shared."""
-    for arr in arrays.values():
-        if arr is not None:
-            arr.flags.writeable = False
-    return cls(**arrays)
+def _frozen(cls, **fields):
+    """cls built from the fields, each array made read-only: a cached layout is shared."""
+    for value in fields.values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return cls(**fields)
 
 
 @functools.lru_cache(maxsize=_LAYOUTS)
 def _useful_layout(ch, L: int, s: int, offset: int, n: int) -> _UsefulLayout:
     nodes = ch.doppler_nodes(L)
     phase = np.exp(1j * nodes[:, :, None] * np.arange(L)) / math.sqrt(nodes.shape[1])
-    return _frozen(_UsefulLayout, starts=np.clip((s - offset + L) - ch.delays, 0, n + L),
-                   amp=np.sqrt(ch.powers), phase=phase)
+    starts = np.clip((s - offset + L) - ch.delays, 0, n + L)
+    return _frozen(_UsefulLayout, index=(starts[:, None] + np.arange(L)).astype(np.int32),
+                   amp=np.sqrt(ch.powers)[:, None], phase=phase)
 
 
 @functools.lru_cache(maxsize=_LAYOUTS)
@@ -209,22 +225,23 @@ def _total_layout(ch, cfg: LatticeConfig, L: int, s: int, offset: int, n: int) -
     n_hi = -((offset - s + delays - L) // N) - 1
     path = np.repeat(np.arange(len(delays)), np.maximum(n_hi - n_lo + 1, 0))
     shifts = delays[path] + (n_lo[path] + np.arange(path.size) - np.searchsorted(path, path)) * N
+    index = to_comb(((s - offset + L) - shifts) + np.arange(L)[:, None], Q)  # (Q, m, J)
+    amp = useful.amp[path, 0]
     if nodes.shape[1] == 1:  # one node per tap phases that tap's rows
-        phase, toep = np.broadcast_to(useful.phase[:, 0], (len(delays), L)), None
+        phase = np.broadcast_to(useful.phase[:, 0], (len(delays), L))[path]
+        weight, scale = to_comb((amp[:, None] * phase).T, Q), Q
     else:  # a node row shared by all taps: its mean phase at lags Q k, k < m
-        phase, toep = None, toeplitz(doppler_correlation(nodes, Q * np.arange(-(-L // Q)))[0])
-    return _frozen(_TotalLayout, starts=(s - offset + L) - shifts, amp=useful.amp[path],
-                   path=path, phase=phase, toeplitz=toep, valid=to_comb(np.ones(L), Q))
+        weight = amp
+        scale = Q * toeplitz(doppler_correlation(nodes, Q * np.arange(-(-L // Q)))[0])
+    return _frozen(_TotalLayout, index=index.astype(np.int32),
+                   weight=np.ascontiguousarray(weight), scale=scale, valid=to_comb(np.ones(L), Q))
 
 
-def _gather(w: Waveform, L: int, starts: np.ndarray) -> np.ndarray:
-    """Rows w(s + p - t) for p < L, one per layout start (s - offset + L) - t,
-    read from the pulse zero-padded by L on both sides; a start lies in [0, n + L]."""
-    n = len(w)
-    padded = np.zeros(n + 2 * L, dtype=np.complex128)
-    padded[L : L + n] = w.samples
-    windows = np.ndarray((n + L + 1, L), padded.dtype, padded, strides=2 * padded.strides)
-    return windows[starts]
+def _padded(w: Waveform, L: int) -> np.ndarray:
+    """The pulse's samples zero-padded by L on both sides, which every layout index reads."""
+    padded = np.zeros(len(w) + 2 * L, dtype=np.complex128)
+    padded[L : L + len(w)] = w.samples
+    return padded
 
 
 def build_ks(w: Waveform, ch, L_out: int, window_start: int | None = None) -> KernelMatrix:
@@ -237,10 +254,11 @@ def build_ks(w: Waveform, ch, L_out: int, window_start: int | None = None) -> Ke
         raise ValueError(f"L_out must be >= 1, got {L_out}")
     s = best_window_start(w, ch, L_out) if window_start is None else int(window_start)
     lay = _useful_layout(ch, L_out, s, w.offset, len(w))
-    rows = _gather(w, L_out, lay.starts) * lay.amp[:, None]
+    rows = _padded(w, L_out).take(lay.index) * lay.amp
     rows = (rows[:, None, :] * lay.phase).reshape(-1, L_out)
     if len(rows) > L_out:  # more columns than samples: Doppler spreads near the sample rate
         rows = np.linalg.qr(rows, mode="r")  # C^T = Q R gives C C^H = R^T conj(R)
+    rows.flags.writeable = False
     return KernelMatrix(rows.T, s)
 
 
@@ -250,15 +268,13 @@ def _total(w: Waveform, ch, cfg: LatticeConfig, ks: KernelMatrix,
     lattice shifts, plus noise on the window's samples (not on the padding)."""
     L, s, Q = ks.L, ks.window_start, cfg.Q
     lay = _total_layout(ch, cfg, L, s, w.offset, len(w))
-    rows = _gather(w, L, lay.starts) * lay.amp[:, None]
-    if lay.phase is not None:
-        rows = rows * lay.phase[lay.path]
-    u = to_comb(rows.T, Q)  # (Q, m, J)
-    blocks = Q * (u @ u.conj().swapaxes(1, 2))
-    if lay.toeplitz is not None:
-        blocks *= lay.toeplitz
+    u = _padded(w, L).take(lay.index)  # (Q, m, J)
+    u *= lay.weight
+    blocks = u @ u.conj().swapaxes(1, 2)
+    blocks *= lay.scale
     if noise:
         blocks.reshape(Q, -1)[:, :: blocks.shape[1] + 1] += noise * lay.valid
+    blocks.flags.writeable = False
     return KernelMatrix(blocks, s, ks.data)
 
 

@@ -5,9 +5,17 @@ x^H KS x / x^H KIN x over one prototype with the other held fixed: the top
 eigenpair of KS x = m T x with T = KS + KIN, valued mu = m / (1 - m) (m = 1, an
 infinite SIR, for an interference-free x).  With KS = C C^H (C is L x r, see
 :mod:`pops.kernels`) the nonzero m are those of the r x r matrix C^H T^-1 C,
-whose top eigenvector y gives x = T^-1 C y, T^-1 applied per comb block.  A
-singular T (e.g. the ideal channel at snr=inf) is solved on its range, which
-loses nothing: null(T) = null(KS) & null(KIN).
+whose top eigenvector y gives x = T^-1 C y, T^-1 applied per comb block.
+
+T is whitened by its Cholesky factor, T = R R^H per comb block (padding set to
+identity), applied through the batched inverse R^-1: W = R^-1 C gives
+C^H T^-1 C = W^H W and x = R^-H W y.  Per half-step that costs O(L m^2) for
+the factor and its inverse, O(L m r) for W, O(L r^2) for W^H W and O(r^3) for
+its top eigenpair.  A T that is singular (e.g. the ideal channel at snr=inf)
+or within rounding of it, so that Cholesky fails or leaves a pivot^2 of at most
+L eps times T's largest diagonal entry, is solved on its range instead, from
+the comb blocks' eigendecomposition.  That loses nothing: null(T) = null(KS) &
+null(KIN).
 
 The ping solves for the receiver on a window selected once by the
 maximum-trace rule and then frozen; the pong reuses the same machinery on the
@@ -19,6 +27,7 @@ coordinate ascent, so the recorded SINR trajectory is nondecreasing.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -81,17 +90,70 @@ class PopsResult:
 # makes for subset_by_index, without its per-call argument handling.
 _HEEVR, _HEEVR_LWORK = scipy.linalg.lapack.get_lapack_funcs(("heevr", "heevr_lwork"),
                                                             dtype=np.complex128)
+_EPS = np.finfo(float).eps
+
+
+@functools.lru_cache(maxsize=64)
+def _heevr_workspace(n: int) -> tuple[int, int, int]:
+    """heevr's (lwork, lrwork, liwork) for an n x n matrix: queried once per size."""
+    lwork, lrwork, liwork, _ = _HEEVR_LWORK(n, lower=1)
+    return int(lwork.real), int(lrwork), int(liwork)
 
 
 def _top_eigenvector(A: np.ndarray) -> np.ndarray:
     """Eigenvector of the largest eigenvalue of the Hermitian matrix A (read from its lower triangle)."""
     n = len(A)
-    lwork, lrwork, liwork, _ = _HEEVR_LWORK(n, lower=1)
+    lwork, lrwork, liwork = _heevr_workspace(n)
     _, v, _, _, info = _HEEVR(A, compute_v=1, lower=1, range="I", il=n, iu=n,
-                              lwork=int(lwork.real), lrwork=int(lrwork), liwork=int(liwork))
+                              lwork=lwork, lrwork=lrwork, liwork=liwork)
     if info != 0:
         raise np.linalg.LinAlgError(f"heevr failed with info={info}")
     return v[:, 0]
+
+
+def _whitener(T: np.ndarray, L: int) -> tuple[np.ndarray, int]:
+    """(A, rank): per comb block a matrix A with A^H A = T^-1 (the pseudo-inverse
+    when T is singular), and the rank of T.
+
+    A = R^-1 for the Cholesky factor T = R R^H, the comb padding set to
+    identity.  When a block is not positive definite, or a pivot^2 is at most
+    L eps times the largest diagonal entry of T (which stands in for the
+    largest eigenvalue, at most m times larger), T is taken on its range:
+    A = Lambda^(-1/2) U^H over the eigenvalues above L eps times the largest.
+    """
+    Q, m = T.shape[:2]
+    diag = T.reshape(Q, -1)[:, :: m + 1].real  # (Q, m)
+    floor = L * _EPS * diag.max(initial=0.0)
+    pad = slice(L - (m - 1) * Q, None)  # the blocks whose last entry is comb padding
+    padded = np.array(T)
+    padded[pad, -1, -1] = 1.0
+    try:
+        R = np.linalg.cholesky(padded)
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        pivots = R.reshape(Q, -1)[:, :: m + 1].real ** 2
+        pivots[pad, -1] = np.inf
+        if pivots.min() > floor:
+            return np.linalg.inv(R), L
+    lam, U = np.linalg.eigh(T)
+    keep = lam > L * _EPS * lam.max(initial=0.0)
+    scale = np.where(keep, lam, np.inf) ** -0.5  # 0 off the range of T
+    return scale[..., None] * U.conj().swapaxes(1, 2), int(keep.sum())
+
+
+def _gram(W: np.ndarray) -> np.ndarray:
+    """W^H W for the rows of the stack W (..., r), without a conjugate copy of W
+    (at long pulses a second array of W's size costs more in page faults than
+    the product itself).
+
+    With W = X + iY, the product of W's real view (columns X_j, Y_j
+    interleaved) with itself, read as complex pairs, interleaves the rows of
+    X^T W and Y^T W; and W^H W = X^T W - i Y^T W.
+    """
+    real = W.reshape(-1, W.shape[-1]).view(np.float64)
+    G = (real.T @ real).view(np.complex128)
+    return G[0::2] - 1j * G[1::2]
 
 
 def half_step(ks: KernelMatrix, kin: KernelMatrix,
@@ -101,37 +163,31 @@ def half_step(ks: KernelMatrix, kin: KernelMatrix,
     When KS + KIN is singular the solve runs on its range, and a note giving
     the rank is appended to ``notes`` if a list is passed.
     """
-    L = ks.L
-    lam, U = np.linalg.eigh(kin.data)  # the comb blocks of T = KS + KIN
-    keep = lam > L * np.finfo(float).eps * lam.max(initial=0.0)
-    scale = np.where(keep, lam, np.inf) ** -0.5  # T^(-1/2) on the range of T, 0 off it
-    # W = T^(-1/2) C per block: W^H W = C^H T^-1 C, whose top eigenvector is y.
-    W = scale[..., None] * (U.conj().swapaxes(1, 2) @ to_comb(ks.data, len(lam)))
-    flat = W.reshape(-1, W.shape[-1])
-    y = _top_eigenvector(flat.conj().T @ flat)
-    vec = from_comb((U @ (scale * (W @ y))[..., None])[..., 0], L)  # x = T^-1 C y
-    if not vec.any():  # KS = 0 on the window: every x has value 0
-        vec = np.eye(1, L, dtype=complex)[0]
-    if keep.sum() < L and notes is not None:
-        notes.append(f"KS + KIN singular (rank {int(keep.sum())} of {L}); solved on its range")
+    L, C, T = ks.L, ks.data, kin.data
+    A, rank = _whitener(T, L)
+    # W = A C per block: W^H W = C^H T^-1 C, whose top eigenvector is y.
+    W = A @ to_comb(C, len(T))
+    y = _top_eigenvector(_gram(W))
+    xc = A.conj().swapaxes(1, 2) @ (W @ y)[..., None]  # x = T^-1 C y, (Q, m, 1)
+    vec = from_comb(xc[..., 0], L)
+    mags = np.abs(vec)
+    i = mags.argmax()
+    if mags[i] == 0:  # KS = 0 on the window: every x has value 0, take x = e_0
+        xc[0, 0] = vec[0] = mags[0] = 1.0
+    if rank < L and notes is not None:
+        notes.append(f"KS + KIN singular (rank {rank} of {L}); solved on its range")
     # normalized() then phase_fixed(), on the array: unit energy, largest sample real positive.
-    vec = vec / np.sqrt(np.sum(np.abs(vec) ** 2))
-    pivot = vec[np.argmax(np.abs(vec))]
-    vec = vec * (np.conj(pivot) / abs(pivot))
-    ps, pin = kin.forms(vec[:, None])  # vec is x on the window of kin
-    return Waveform(vec, offset=ks.window_start), power_ratio(float(ps[0]), float(pin[0]))
+    turn = vec[i].conjugate() / (mags[i] * math.sqrt((mags * mags).sum()))
+    vec, xc = vec * turn, xc * turn  # vec may be a view of xc
+    # The value from x's forms as KernelMatrix.forms reads them, x^H T x on the comb.
+    v = C.T @ vec.conj()
+    ps = np.vdot(v, v).real
+    total = np.vdot(xc, T @ xc).real
+    return Waveform(vec, offset=ks.window_start), power_ratio(float(ps), float(total - ps))
 
 
 # One-entry solver table: the benchmark's tracer finds the half-step here.
 _SOLVERS = {"half_step": half_step}
-
-
-def _diff_norm(a: Waveform | None, b: Waveform) -> float:
-    if a is None:
-        return math.inf
-    lo = min(a.offset, b.offset)
-    hi = max(a.end, b.end)
-    return float(np.linalg.norm(a.dense(lo, hi - lo) - b.dense(lo, hi - lo)))
 
 
 def run_pops(cfg: LatticeConfig, ch, pcfg: PopsConfig) -> PopsResult:
@@ -158,15 +214,19 @@ def run_pops(cfg: LatticeConfig, ch, pcfg: PopsConfig) -> PopsResult:
         psi_window = ks.window_start
         psi_new, value = half_step(ks, kin, notes)
         trajectory.append((it, "ping", value))
-        e_psi = _diff_norm(psi, psi_new)
+        # Both windows are frozen from here on, so each pulse keeps its support.
+        e_psi = math.inf if psi is None else float(np.linalg.norm(psi.samples - psi_new.samples))
         psi = psi_new
         # Pong: transmit update via the time-reversal identity.
         ks, kin = build_ks_kin(time_reverse(psi), ch, cfg, cfg.L_phi, pcfg.snr,
                                window_start=pong_start)
         phi_rev, value = half_step(ks, kin, notes)
-        phi_new = phase_fixed(time_reverse(phi_rev))
         trajectory.append((it, "pong", value))
-        e_phi = _diff_norm(phi, phi_new)
+        # phase_fixed(time_reverse(phi_rev)), on the array; it lands on phi's support.
+        samples = phi_rev.samples[::-1]
+        pivot = samples[np.argmax(np.abs(samples))]
+        phi_new = Waveform(samples * (np.conj(pivot) / abs(pivot)), offset=phi.offset)
+        e_phi = float(np.linalg.norm(phi.samples - phi_new.samples))
         phi = phi_new
         if e_psi <= pcfg.epsilon and e_phi <= pcfg.epsilon:
             converged = True

@@ -228,6 +228,38 @@ class TestKernelInvariants:
         with pytest.raises(ValueError):
             build_ki(random_waveform(np.random.default_rng(0), 8), bad_ts, cfg, cfg.Q)
 
+    def test_read_only_complex_arrays_are_kept_as_they_are(self):
+        rng = np.random.default_rng(12)
+        C = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
+        blocks = np.stack([np.eye(2, dtype=complex)] * 3)  # Q = 3 blocks tile L = 6
+        for arr in (C, blocks):
+            arr.flags.writeable = False
+        ks, kin = KernelMatrix(C, 0), KernelMatrix(blocks, 0, C)
+        assert np.shares_memory(ks.data, C)
+        assert np.shares_memory(kin.data, blocks) and np.shares_memory(kin.factor, C)
+        # The pair the builders return shares one factor.
+        cfg, ch, w = self._random_instance(12)
+        ks, kin = build_ks_kin(w, ch, cfg, cfg.Q + 3, snr=10.0)
+        assert np.shares_memory(kin.factor, ks.data)
+
+    def test_other_inputs_are_copied_and_frozen(self):
+        rng = np.random.default_rng(13)
+        C = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
+        blocks = np.stack([np.eye(2, dtype=complex)] * 3)
+        ks, kin = KernelMatrix(C, 0), KernelMatrix(blocks, 0, C)
+        want = (C.copy(), blocks.copy())
+        C[0, 0] += 1.0
+        blocks[0, 0, 0] += 1.0
+        np.testing.assert_array_equal(ks.data, want[0])
+        np.testing.assert_array_equal(kin.factor, want[0])
+        np.testing.assert_array_equal(kin.data, want[1])
+        ones = np.ones((6, 2))
+        ones.flags.writeable = False
+        real = KernelMatrix(ones, 0)  # read-only but real: converted
+        assert real.data.dtype == np.complex128
+        for arr in (ks.data, kin.data, kin.factor, real.data):
+            assert not arr.flags.writeable
+
 
 class TestBestWindow:
     """The automatic receive window maximizes the useful-kernel trace."""

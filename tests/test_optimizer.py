@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import expand, random_kernel_pair, random_waveform, structured_pair
+from helpers import (dense_half_step, expand, random_kernel_pair, random_waveform,
+                     structured_pair)
 from pops import (
     LatticeConfig,
     PathList,
@@ -57,12 +58,14 @@ class TestHalfStepSolvers:
             q = np.real(x.conj() @ A @ x) / np.real(x.conj() @ B @ x)
             assert q <= value * (1 + 1e-12)
 
-    def test_singular_total_kernel_is_solved_on_its_range(self):
-        # KS and KIN share a 5-dimensional null space, so KS + KIN is
-        # singular; the value is that of the problem restricted to the range.
-        # Both comb blocks (Q=2) of T lose part of their range: the reduced
-        # pair's even and odd samples land on 5 of the 7 even and 4 of the 7
-        # odd samples.
+    @staticmethod
+    def _embedded_singular_pair(dust=0.0):
+        """(KS, KIN, value of the reduced problem, r, L): a random pair on r = 9
+        samples embedded in L = 14, so that KS and KIN share a 5-dimensional
+        null space, plus dust times the largest diagonal entry of T on the null
+        samples.  Both comb blocks (Q=2) of T lose part of their range: the
+        reduced pair's even and odd samples land on 5 of the 7 even and 4 of
+        the 7 odd samples."""
         rng = np.random.default_rng(85)
         L, r, q = 14, 9, 2
         ks_r, kin_r = random_kernel_pair(rng, r, q=q)
@@ -70,13 +73,56 @@ class TestHalfStepSolvers:
         V[[2, 1, 4, 5, 8, 7, 10, 11, 12], np.arange(r)] = 1.0
         t = V @ (expand(ks_r) + expand(kin_r)) @ V.T
         assert not t[0::2, 1::2].any()  # T lives on its comb
+        null = np.flatnonzero(~V.any(axis=1))
+        t[null, null] = dust * t.diagonal().real.max()
         ks, kin = structured_pair(V @ ks_r.data, np.stack([t[c::q, c::q] for c in range(q)]))
         want = scipy.linalg.eigh(expand(ks_r), expand(kin_r), eigvals_only=True,
                                  subset_by_index=[r - 1, r - 1])[0]
+        return ks, kin, want, r, L
+
+    def test_singular_total_kernel_is_solved_on_its_range(self):
+        # KS + KIN is singular; the value is that of the problem restricted to the range.
+        ks, kin, want, r, L = self._embedded_singular_pair()
         notes = []
         _, value = half_step(ks, kin, notes)
         assert value == pytest.approx(want, rel=1e-10)
         assert notes == [f"KS + KIN singular (rank {r} of {L}); solved on its range"]
+
+    def test_pivot_under_the_range_floor_takes_the_range_path(self):
+        # Rounding dust on T's null samples: np.linalg.cholesky accepts every
+        # block, but the dust pivots^2 lie under L eps times T's largest
+        # diagonal entry, so the solve runs on the range as for exact zeros.
+        ks, kin, want, r, L = self._embedded_singular_pair(dust=1e-17)
+        R = np.linalg.cholesky(kin.data)  # accepted
+        assert (np.abs(np.diagonal(R, axis1=1, axis2=2)) ** 2).min() < (
+            L * np.finfo(float).eps * np.diagonal(kin.data, axis1=1, axis2=2).real.max())
+        notes = []
+        _, value = half_step(ks, kin, notes)
+        assert value == pytest.approx(dense_half_step(expand(ks), expand(kin)), rel=1e-10)
+        assert value == pytest.approx(want, rel=1e-10)
+        assert notes == [f"KS + KIN singular (rank {r} of {L}); solved on its range"]
+
+    @pytest.mark.parametrize("D", [1, 3, 12])
+    def test_definite_pair_is_whitened_by_cholesky(self, D, monkeypatch):
+        # A kernel pair at snr=10 is positive definite: the half-step whitens
+        # by Cholesky, never calls eigh, records no note and equals the dense
+        # oracle.  N=8/Q=4 gives the comb blocks of N=256/Q=128, m = 2 D.
+        cfg = LatticeConfig(N=8, Q=4, Dphi=D, Dpsi=D)
+        ch = SeparableChannel.from_spread_product(cfg, 0.05, bd_over_f=0.05)
+        rng = np.random.default_rng(D)
+        w = random_waveform(rng, cfg.L_phi, offset=-(cfg.L_phi // 2))
+        ks, kin = build_ks_kin(w, ch, cfg, cfg.L_psi, 10.0)
+        assert kin.data.shape[1] == 2 * D
+        want = dense_half_step(expand(ks), expand(kin))
+
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("the range path ran on a definite pair")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        notes = []
+        _, value = half_step(ks, kin, notes)
+        assert value == pytest.approx(want, rel=1e-10)
+        assert notes == []
 
     def test_singular_interference_gives_infinite_value(self):
         # KIN of rank 3 with KS positive definite: KS + KIN stays definite and
