@@ -28,9 +28,9 @@ import numpy as np
 from .bound import SingularInterferenceError, build_kronecker_system, upper_bound
 from .channel import PathList, SeparableChannel
 from .codec import Channel, decode, encode
-from .lattice import LatticeConfig, Waveform, make_conventional_rx, make_conventional_tx, modulate, shift
+from .lattice import LatticeConfig, Waveform, make_conventional_rx, make_conventional_tx
 from .optimizer import PopsConfig, PopsResult, run_pops
-from .sinr import _received, sinr, sinr_conventional
+from .sinr import _received, _sinrs, sinr, sinr_conventional
 
 __all__ = [
     "SweepResult",
@@ -301,14 +301,33 @@ def _sync_sweep(
     fractional = [v for v in values if kind == "time-sync" and not v.is_integer()]
     if fractional:
         raise ValueError(f"timing offsets must be whole samples, got {fractional}")
+    infinite = [v for v in values if not math.isfinite(v)]
+    if infinite:
+        raise ValueError(f"carrier offsets must be finite, got {infinite}")
+    # One column per distinct offset, so a repeated offset reads the same value.
+    column = {v: i for i, v in enumerate(dict.fromkeys(values))}
+    points, where = list(column), [column[v] for v in values]
 
     def series(tx: Waveform, rx: Waveform, cfg: LatticeConfig) -> np.ndarray:
-        # One kernel pair of tx on the union window serves every perturbed rx.
+        # The perturbed receivers as the columns of one stack on their union
+        # window: one kernel pair of tx serves every point.
+        n = len(rx)
         if kind == "time-sync":
-            xs = [shift(rx, int(v)) for v in values]
+            taus = np.array(points, dtype=np.int64)
+            lo, hi = int(min(points, default=0)), int(max(points, default=0))
+            L = n + hi - lo
+            padded = np.zeros(2 * L - n, dtype=np.complex128)
+            padded[L - n : L] = rx.samples
+            # Column j is rx shifted by taus[j]: row q reads sample q - (taus[j] - lo).
+            X = padded.take(np.arange(L - n + lo, 2 * L - n + lo)[:, None] - taus)
+            start = rx.offset + lo
         else:
-            xs = [modulate(rx, v, cfg.Q) for v in values]
-        return np.array([r.sinr for r in _received(tx, xs, ch, cfg, snr)])
+            q = rx.offset + np.arange(n)
+            X = rx.samples[:, None] * np.exp(2j * np.pi * np.array(points) * q[:, None] / cfg.Q)
+            start = rx.offset
+        # A shift or a phase ramp keeps rx's energy.
+        ps, pi = _received(tx, ch, cfg, start, X, rx.energy)
+        return _sinrs(ps, pi, snr)[where]
 
     out = {"pops": series(tx, rx, cfg)}
     for cp in cp_baselines:
@@ -345,8 +364,10 @@ def sweep_time_sync(
 
     Gives ``sinr(tx_opt, shift(rx_opt, tau))`` for every tau, with conventional
     pairs at N = Q + CP perturbed identically as baselines.  A shift only
-    slides the receiver along the global axis, so one kernel pair per pair,
-    built on the union window of the shifted receivers, serves every tau.
+    slides the receiver along the global axis, so each pair is evaluated as
+    one stack: the shifted receivers are gathered as the columns of one matrix
+    on their union window, and one kernel pair of tx on that window reads
+    every column's powers at once.  A repeated tau is evaluated once.
     """
     return _sync_sweep("time-sync", result.tx_opt, result.rx_opt, ch, cfg, tau_values, snr,
                        cp_baselines)
@@ -363,9 +384,13 @@ def sweep_freq_sync(
     """SINR under a carrier frequency offset given as a fraction of F.
 
     The offset is applied as the per-sample phase ramp exp(2j pi df q / Q) on
-    the receive prototype (a fractional subcarrier modulation), again without
-    reoptimization.  The offset changes the receiver, not the kernels, so one
-    kernel pair per pair on the receiver's own window serves every offset.
+    the receive prototype (a fractional subcarrier modulation, as
+    :func:`~pops.lattice.modulate`), again without reoptimization.  The offset
+    changes the receiver, not the kernels, so each pair is evaluated as one
+    stack: rx times the outer product of the ramps, one column per offset on
+    rx's own window, read by one kernel pair of tx.  The ramp keeps rx's
+    energy, which normalizes every column.  Offsets must be finite; a repeated
+    one is evaluated once.
     """
     return _sync_sweep("freq-sync", result.tx_opt, result.rx_opt, ch, cfg, dfreq_values, snr,
                        cp_baselines)

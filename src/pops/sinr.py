@@ -5,6 +5,15 @@ All reports use the unit-energy convention: ps and pi are normalized by
 quantity invariant to rescaling of either waveform.  snr = math.inf gives the
 zero-noise branch, where sinr coincides with the (noise-free) sir.
 
+Every kernel evaluation goes through ``_received``.  It takes a transmit
+prototype and a stack of receivers: a window start, an L x P matrix whose
+columns are the receivers' samples on [start, start+L), and their common
+energy.  It builds one kernel pair of tx on that window and returns the
+normalized ps and pi of every column.  :func:`sinr` is its one-column case on
+rx's own window.  The sync sweeps (:mod:`pops.analysis`) pass all their
+perturbed receivers at once and read the SINR through the same
+zero-interference rule, without a report per point.
+
 Tx/Rx duality: the SINR of (tx, rx) equals that of tx received against the
 S(-p, -nu) kernels of rx.  Those kernels are the index-reversed kernels of
 time_reverse(rx) (:mod:`pops.kernels`), so the package states the identity
@@ -56,38 +65,55 @@ def power_ratio(ps: float, pi: float) -> float:
     return max(ps, 0.0) / pi
 
 
-def _report(ps: float, pi: float, snr: float) -> SinrReport:
+def _noise_power(snr: float) -> float:
     if not snr > 0:
         raise ValueError(f"snr must be positive, got {snr}")
+    return 0.0 if math.isinf(snr) else 1.0 / snr
+
+
+def _powers(ps: float, pi: float) -> tuple[float, float]:
+    """ps and pi as reported: ps clipped at 0, and pi <= 1e-12 ps read as 0."""
     ps = max(float(ps), 0.0)
-    pi = float(pi) if pi > _ZERO_INTERFERENCE_RTOL * ps else 0.0
-    pn = 0.0 if math.isinf(snr) else 1.0 / snr
+    return ps, (float(pi) if pi > _ZERO_INTERFERENCE_RTOL * ps else 0.0)
+
+
+def _report(ps: float, pi: float, snr: float) -> SinrReport:
+    pn = _noise_power(snr)
+    ps, pi = _powers(ps, pi)
     return SinrReport(ps=ps, pi=pi, pn=pn, sinr=power_ratio(ps, pi + pn),
                       sir=power_ratio(ps, pi), snr=snr)
 
 
-def _received(w: Waveform, xs, ch, cfg: LatticeConfig, snr: float) -> list[SinrReport]:
-    """Reports for each x in xs received against the kernels of w.
+def _sinrs(ps: np.ndarray, pi: np.ndarray, snr: float) -> np.ndarray:
+    """The ``sinr`` field of each report _report would make, with no report made."""
+    pn = _noise_power(snr)
+    return np.array([power_ratio(a, b + pn) for a, b in map(_powers, ps, pi)])
 
-    Kernel entries depend only on global sample indices, so one pair built on
-    the union window of the receivers serves all of them.
+
+def _received(w: Waveform, ch, cfg: LatticeConfig, start: int, X: np.ndarray,
+              energy: float) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized (ps, pi) of each column of X (L x P) received against the kernels of w.
+
+    Each column holds the samples, on the window [start, start+L), of a
+    receiver of the given energy (the sync sweeps' shifts and phase ramps keep
+    it).  Kernel entries depend only on global sample indices, so one pair
+    built on that window serves every column.
     """
-    if w.energy == 0 or any(x.energy == 0 for x in xs):
+    if w.energy == 0 or energy == 0:
         raise ValueError("waveforms must have nonzero energy")
-    if not xs:
-        return []
-    start = min(x.offset for x in xs)
-    L = max(x.end for x in xs) - start
-    # At snr=inf the KIN of the pair is the bare KI; noise is added in _report.
-    _, ki = build_ks_kin(w, ch, cfg, L, math.inf, window_start=start)
-    ps, pi = ki.forms(np.stack([x.dense(start, L) for x in xs], axis=1))
-    scale = w.energy * np.array([x.energy for x in xs])
-    return [_report(a, b, snr) for a, b in zip(ps / scale, pi / scale)]
+    if X.shape[1] == 0:
+        return np.zeros(0), np.zeros(0)
+    # At snr=inf the KIN of the pair is the bare KI; noise is added by the caller.
+    _, ki = build_ks_kin(w, ch, cfg, len(X), math.inf, window_start=start)
+    ps, pi = ki.forms(X)
+    scale = w.energy * energy
+    return ps / scale, pi / scale
 
 
 def sinr(tx: Waveform, rx: Waveform, ch, cfg: LatticeConfig, snr: float) -> SinrReport:
     """SINR of the pair (tx, rx): rx^H KS rx / rx^H (KI + ||tx||^2/snr I) rx."""
-    return _received(tx, [rx], ch, cfg, snr)[0]
+    ps, pi = _received(tx, ch, cfg, rx.offset, rx.samples.reshape(-1, 1), rx.energy)
+    return _report(ps[0], pi[0], snr)
 
 
 def sinr_time_reversed(tx: Waveform, rx: Waveform, ch, cfg: LatticeConfig,

@@ -11,6 +11,7 @@ from pops import (
     LatticeConfig,
     PathList,
     PopsConfig,
+    PopsResult,
     SeparableChannel,
     SweepResult,
     Waveform,
@@ -291,6 +292,62 @@ class TestSyncSweeps:
         r = sweep_time_sync(self.res, self.ch, self.cfg, taus, snr=10.0,
                             cp_baselines=(2,))
         assert int(np.argmax(r.series["pops"])) == taus.index(0)
+
+    @staticmethod
+    def _fixed(tx, rx):
+        return PopsResult(tx_opt=tx, rx_opt=rx, sinr_trajectory=(), converged=True,
+                          iterations_used=0)
+
+    def test_timing_inside_the_prefix_is_interference_free(self):
+        cfg = LatticeConfig(N=20, Q=16)
+        cp = self._fixed(make_conventional_tx(cfg), make_conventional_rx(cfg))
+        r = sweep_time_sync(cp, PathList.ideal(), cfg, [-4, -2, 0, 1], snr=math.inf,
+                            cp_baselines=())
+        assert list(r.series["pops"][:3]) == [math.inf] * 3
+        assert 0.0 < r.series["pops"][3] < math.inf  # one sample past the prefix
+
+    def test_timing_past_the_pulse_reach_reads_zero(self):
+        # The 4-sample pulses repeat every N=20 samples: a receiver shifted by 8
+        # meets no lattice translate of tx, so ps = pi = 0, read as SINR 0.
+        cfg = LatticeConfig(N=20, Q=16)
+        tx = rx = Waveform(np.ones(4))
+        r = sweep_time_sync(self._fixed(tx, rx), PathList.ideal(), cfg, [0, 8],
+                            snr=math.inf, cp_baselines=())
+        assert r.series["pops"][0] > 0.0
+        assert r.series["pops"][1] == 0.0
+        assert sinr(tx, shift(rx, 8), PathList.ideal(), cfg, math.inf).sinr == 0.0
+
+    def test_integer_carrier_offset_is_orthogonal(self):
+        cfg = LatticeConfig(N=20, Q=16)
+        cp = self._fixed(make_conventional_tx(cfg), make_conventional_rx(cfg))
+        r = sweep_freq_sync(cp, PathList.ideal(), cfg, [0.0, 1.0, -3.0, 5.0], snr=math.inf,
+                            cp_baselines=())
+        assert r.series["pops"][0] == math.inf
+        assert np.all(r.series["pops"][1:] <= 1e-15)
+
+    def test_repeated_offsets_give_equal_entries(self):
+        for sweep, values in ((sweep_time_sync, [2, -1, 2, 0, -1, 2]),
+                              (sweep_freq_sync, [0.3, 0.3, -0.1, 0.0, -0.1, 0.3])):
+            r = sweep(self.res, self.ch, self.cfg, values, snr=10.0, cp_baselines=(2, 4))
+            for series in r.series.values():
+                first = {v: series[values.index(v)] for v in values}
+                assert [first[v] for v in values] == list(series)
+
+    def test_zero_energy_is_refused_before_any_kernel(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(importlib.import_module("pops.sinr"), "build_ks_kin",
+                            lambda *args, **kwargs: built.append(args))
+        zero = Waveform(np.zeros(5))
+        tx, rx = self.res.tx_opt, self.res.rx_opt
+        for sweep, values in ((sweep_time_sync, [0, 1]), (sweep_freq_sync, [0.0, 0.1])):
+            for pair in ((zero, rx), (tx, zero)):
+                with pytest.raises(ValueError, match="waveforms must have nonzero energy"):
+                    sweep(self._fixed(*pair), self.ch, self.cfg, values, snr=10.0)
+        assert built == []
+
+    def test_non_finite_carrier_offsets_are_refused(self):
+        with pytest.raises(ValueError, match=r"finite.*\[inf, nan\]"):
+            sweep_freq_sync(self.res, self.ch, self.cfg, [0.1, math.inf, math.nan])
 
 
 class TestSweepMismatch:

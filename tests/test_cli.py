@@ -4,6 +4,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from helpers import noise_init
@@ -13,12 +14,15 @@ from pops import (
     make_gaussian_init,
     make_hermite_init,
     make_rrc_init,
+    read_sweep_csv,
+    rerun_from_metadata,
     sinr,
 )
 from pops.codec import decode
 from pops.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 
-SCENARIOS = sorted((Path(__file__).resolve().parent.parent / "demos" / "scenarios").glob("*.ini"))
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
+SCENARIOS = sorted(SCENARIO_DIR.glob("*.ini"))
 
 
 @pytest.fixture
@@ -119,6 +123,16 @@ def test_upperbound_on_shipped_scenario(ini, tmp_path):
         assert bound >= sinr(init, init, sc.channel(), cfg, sc.snr).sir
 
 
+def _assert_sidecar_replays(csv_path):
+    """Replaying the written sidecar gives the written series exactly."""
+    written = read_sweep_csv(csv_path)
+    again = rerun_from_metadata(written.metadata)
+    np.testing.assert_array_equal(again.axis_values, written.axis_values)
+    assert list(again.series) == list(written.series)
+    for name, values in written.series.items():
+        np.testing.assert_array_equal(again.series[name], values, err_msg=name)
+
+
 class TestPsdAndSweep:
     def test_psd_artifact(self, workspace, capsys):
         ini, out = workspace
@@ -147,6 +161,17 @@ class TestPsdAndSweep:
         assert header[0].startswith("# scenario=")
         assert header[1] == "tau_samples,pops,conventional_cp2"
         assert "rows=3" in capsys.readouterr().out
+        _assert_sidecar_replays(csv_path)
+
+    def test_freq_sync_sweep_on_shipped_scenario(self, tmp_path, capsys):
+        code = run_cli("sweep", "freq-sync", str(SCENARIO_DIR / "small.ini"),
+                       "--set", f"run.output_dir={tmp_path}")
+        assert code == EXIT_OK
+        csv_path = tmp_path / "sweep_freq-sync.csv"
+        assert csv_path.read_text().splitlines()[1] == \
+            "dfreq_in_F,pops,conventional_cp2,conventional_cp4"
+        assert "rows=5" in capsys.readouterr().out
+        _assert_sidecar_replays(csv_path)
 
     def test_freq_sync_requires_grid(self, workspace, capsys):
         ini, _ = workspace
