@@ -330,8 +330,7 @@ class TestSyncSweeps:
                               (sweep_freq_sync, [0.3, 0.3, -0.1, 0.0, -0.1, 0.3])):
             r = sweep(self.res, self.ch, self.cfg, values, snr=10.0, cp_baselines=(2, 4))
             for series in r.series.values():
-                first = {v: series[values.index(v)] for v in values}
-                assert [first[v] for v in values] == list(series)
+                assert list(series) == [series[values.index(v)] for v in values]
 
     def test_zero_energy_is_refused_before_any_kernel(self, monkeypatch):
         built = []
