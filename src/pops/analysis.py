@@ -153,22 +153,27 @@ def oob_level_db(result: SweepResult, min_offset_f: float = 2.0) -> float:
     return float(result.series["psd_db"][mask].max())
 
 
-def oob_power_fraction(
-    w: Waveform,
-    cfg: LatticeConfig,
-    oversample: int = 16,
-    band_halfwidth_f: float = 1.0,
-) -> float:
+def oob_power_fraction(w: Waveform, cfg: LatticeConfig, band_halfwidth_f: float = 1.0) -> float:
     """Fraction of the waveform's total power radiated beyond +-band_halfwidth_f.
 
-    Computed from the raw (unnormalized) oversampled periodogram, so it is a
-    genuine power ratio in [0, 1].
+    Exact: 1 - x^H P_B x / ||x||^2, with P_B the prolate matrix of the band
+    |f| <= beta = band_halfwidth_f / Q cycles per sample, whose entry at lag d
+    is 2 beta sinc(2 beta d) (Slepian).  The form is read through the pulse's
+    autocorrelation, so it needs no frequency grid.  A band of beta >= 1/2
+    holds the whole spectrum and gives 0.
     """
-    m_bins = oversample * w.samples.size
-    power = np.abs(np.fft.fft(w.samples, m_bins)) ** 2
-    freqs = np.fft.fftfreq(m_bins) * cfg.Q
-    out = power[np.abs(freqs) > band_halfwidth_f].sum()
-    return float(out / power.sum())
+    if not band_halfwidth_f >= 0.0:
+        raise ValueError(f"band_halfwidth_f must be nonnegative, got {band_halfwidth_f}")
+    energy = w.energy
+    if energy == 0:
+        raise ValueError("waveform must have nonzero energy")
+    beta = band_halfwidth_f / cfg.Q
+    if beta >= 0.5:
+        return 0.0
+    x = w.samples
+    lags = np.arange(1 - x.size, x.size)
+    inband = np.dot(np.correlate(x, x, "full").real, 2.0 * beta * np.sinc(2.0 * beta * lags))
+    return float(min(max(1.0 - inband / energy, 0.0), 1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -267,8 +267,6 @@ class SeparableChannel(_Value):
             raise ValueError(f"doppler_grid_size must be >= 1, got {doppler_grid_size}")
         if self.Bd == 0.0:
             G = 1
-        nus = _jakes_quantiles(self.Bd, G)
-        return PathList.from_paths(
-            [(d, nu, pi / G) for d, pi in zip(self.delays, self.powers) for nu in nus],
-            Ts=self.Ts,
-        )
+        # Delays strictly increase and the quantiles too: already sorted, no merging.
+        return PathList(np.repeat(self.delays, G), np.tile(_jakes_quantiles(self.Bd, G), self.K),
+                        np.repeat(self.powers / G, G), self.Ts)

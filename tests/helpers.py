@@ -227,3 +227,13 @@ def dense_upper_bound(a, b, snr):
         b_sub += np.eye(basis.shape[1]) / snr
     return float(scipy.linalg.eigh(0.5 * (a_sub + a_sub.conj().T), 0.5 * (b_sub + b_sub.conj().T),
                                    eigvals_only=True)[-1])
+
+
+def dense_oob_fraction(w, cfg, band_halfwidth_f):
+    """1 - x^H P_B x / ||x||^2 with the prolate matrix P_B of |f| <= band_halfwidth_f / Q
+    cycles per sample built densely: sin(2 pi beta (p - q)) / (pi (p - q))."""
+    beta = band_halfwidth_f / cfg.Q
+    x = w.samples
+    d = np.subtract.outer(np.arange(x.size), np.arange(x.size))
+    P = np.where(d == 0, 2 * beta, np.sin(2 * np.pi * beta * d) / (np.pi * np.where(d == 0, 1, d)))
+    return 1.0 - np.vdot(x, P @ x).real / np.vdot(x, x).real

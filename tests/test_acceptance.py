@@ -11,8 +11,8 @@ import time
 import numpy as np
 import scipy.linalg
 
-from helpers import (dense_ki, dense_ks, dense_role_swapped, expand, random_kernel_pair,
-                     random_pathlist, random_waveform)
+from helpers import (dense_ki, dense_ks, dense_oob_fraction, dense_role_swapped, expand,
+                     random_kernel_pair, random_pathlist, random_waveform)
 from pops import (
     LatticeConfig,
     McConfig,
@@ -269,6 +269,10 @@ def test_criterion_08_out_of_band_suppression():
                           f"(need -20); out-of-band fraction {fr_opt:.2e} < {fr_cv:.2e}, "
                           f"{elapsed:.0f}s")
     assert ok, line
+    # The fraction is the exact prolate form, not a periodogram reading.
+    for band in (0.5, 1.0, 2.0):
+        assert abs(oob_power_fraction(res.tx_opt, cfg3, band_halfwidth_f=band)
+                   - dense_oob_fraction(res.tx_opt, cfg3, band)) <= 1e-13
 
 
 def test_criterion_09_synchronization_robustness():

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import dense_oob_fraction
 from pops import (
     LatticeConfig,
     PathList,
@@ -140,6 +141,24 @@ class TestOutOfBandMeasures:
         narrow = oob_power_fraction(self.rect, self.cfg, band_halfwidth_f=0.5)
         wide = oob_power_fraction(self.rect, self.cfg, band_halfwidth_f=2.0)
         assert wide < narrow
+
+    @pytest.mark.parametrize("band", [0.5, 1.0, 2.0])
+    def test_power_fraction_equals_prolate_oracle(self, band):
+        for w in (self.rect, self.smooth):
+            assert oob_power_fraction(w, self.cfg, band_halfwidth_f=band) == pytest.approx(
+                dense_oob_fraction(w, self.cfg, band), rel=0, abs=1e-13)
+
+    def test_power_fraction_band_limits(self):
+        # beta = band/Q >= 1/2 cycles per sample holds the whole spectrum
+        for band in (self.cfg.Q / 2, 3.0 * self.cfg.Q):
+            assert oob_power_fraction(self.smooth, self.cfg, band_halfwidth_f=band) == 0.0
+        assert oob_power_fraction(self.smooth, self.cfg, band_halfwidth_f=0.0) == 1.0
+
+    def test_power_fraction_input_rules(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            oob_power_fraction(self.rect, self.cfg, band_halfwidth_f=-0.5)
+        with pytest.raises(ValueError, match="energy"):
+            oob_power_fraction(Waveform(np.zeros(4)), self.cfg)
 
 
 class TestSweepFt:

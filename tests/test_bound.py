@@ -299,6 +299,18 @@ class TestUpperBound:
         for snr in (10.0, 1000.0):
             assert upper_bound(sys_, snr) == pytest.approx(dense_upper_bound(a, b, snr), rel=1e-10)
 
+    @pytest.mark.parametrize("cfg, ch", [
+        (LatticeConfig(N=19, Q=4, Dphi=2, Dpsi=2),
+         SeparableChannel(K=2, b=0.5, delays=[0, 1], Bd=0.02349790819342788)),
+        (LatticeConfig(N=32, Q=13, Dphi=2, Dpsi=2),
+         SeparableChannel(K=2, b=0.5, delays=[0, 1], Bd=0.001095822316733365).to_pathlist(16)),
+    ], ids=["separable", "pathlist"])
+    def test_singular_on_ill_conditioned_comb_blocks(self, cfg, ch):
+        # B is singular on the range here, but its comb blocks are only ill
+        # conditioned: a bound that whitens by them reads a finite SIR.
+        with pytest.raises(SingularInterferenceError):
+            upper_bound(build_kronecker_system(cfg, ch))
+
     def test_bound_error_names_the_remedy(self):
         sys_ = build_kronecker_system(self.cfg, PathList.ideal())
         with pytest.raises(SingularInterferenceError, match="snr"):

@@ -15,6 +15,7 @@ from pops import (
     LatticeConfig,
     PathList,
     PopsConfig,
+    SingularInterferenceError,
     Waveform,
     build_kronecker_system,
     kronecker_quotient,
@@ -74,6 +75,17 @@ def test_bound_equals_dense_oracle(inst, snr):
 def test_bound_dominates_drawn_pair(inst, snr):
     cfg, ch, sys_, tx, rx = inst
     assert upper_bound(sys_, snr) >= sinr(tx, rx, ch, cfg, snr).sinr * (1 - 1e-10)
+
+
+@PROPERTY
+@given(instances(), st.floats(0.5, 1000.0))
+def test_sir_bound_dominates_finite_snr_bound(inst, snr):
+    _, _, sys_, _, _ = inst
+    try:
+        sir_bound = upper_bound(sys_)
+    except SingularInterferenceError:  # the SIR bound is infinite
+        return
+    assert sir_bound >= upper_bound(sys_, snr) * (1 - 1e-10)
 
 
 scales = st.builds(lambda r, t: r * cmath.exp(1j * t),

@@ -177,6 +177,19 @@ class TestDopplerDiscretization:
             approx = (paths.powers @ doppler_correlation(paths.doppler_nodes(40), lags)).real
             assert np.max(np.abs(approx - exact)) < tol, g
 
+    @pytest.mark.parametrize("g", [1, 2, 7, 16, 64])
+    @pytest.mark.parametrize("bd", [0.0, 0.013, 0.2])
+    def test_pathlist_equals_tuple_construction(self, g, bd):
+        ch = SeparableChannel(K=3, b=0.3, delays=[0, 2, 9], Bd=bd, Ts=0.5)
+        got = ch.to_pathlist(doppler_grid_size=g)
+        g = 1 if bd == 0.0 else g
+        nus = (bd / 2.0) * np.sin(np.pi * (2 * np.arange(g) + 1 - g) / (2 * g))
+        want = PathList.from_paths(
+            [(d, nu, pi / g) for d, pi in zip(ch.delays, ch.powers) for nu in nus], Ts=0.5)
+        assert got.Ts == want.Ts
+        for name in ("delays", "dopplers", "powers"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
     def test_pathlist_keeps_delay_structure(self):
         ch = SeparableChannel.with_uniform_delays(K=3, b=0.5, max_delay=4, Bd=0.01)
         paths = ch.to_pathlist(doppler_grid_size=8)

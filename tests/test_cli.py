@@ -1,5 +1,6 @@
 """Command-line frontend: subcommands, artifacts, exit codes."""
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -18,6 +19,7 @@ from pops import (
     rerun_from_metadata,
     sinr,
 )
+from pops import cli
 from pops.codec import decode
 from pops.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 
@@ -257,6 +259,28 @@ class TestValidate:
         stdout = capsys.readouterr().out
         assert stdout.count("PASS") >= 4
         assert "FAIL" not in stdout
+
+    @staticmethod
+    def _high_sir(spread):
+        # snr=inf with SIR about 1e8 (spread 1e-5) or 1e12 (spread 1e-7)
+        return ("validate", str(SCENARIO_DIR / "small.ini"), "--set", "run.snr=inf",
+                "--set", f"channel.spread_product={spread}")
+
+    @pytest.mark.parametrize("spread", ["1e-5", "1e-7"])
+    def test_high_sir_scenarios_pass(self, spread, capsys):
+        assert run_cli(*self._high_sir(spread)) == EXIT_OK
+        assert "FAIL" not in capsys.readouterr().out
+
+    def test_perturbed_closed_form_fails(self, monkeypatch, capsys):
+        real = cli.sinr_conventional
+
+        def perturbed(cfg, ch, snr):
+            rep = real(cfg, ch, snr)
+            return dataclasses.replace(rep, ps=rep.ps + 1e-6 * (rep.ps + rep.pi))
+
+        monkeypatch.setattr(cli, "sinr_conventional", perturbed)
+        assert run_cli(*self._high_sir("1e-5")) == EXIT_NUMERICAL
+        assert "closed-form-vs-kernel: FAIL" in capsys.readouterr().out
 
 
 class TestErrorHandling:
