@@ -1,9 +1,10 @@
 """Cross-validate the analytic SINR against a link-level simulation.
 
 The kernel-based SINR is a closed quadratic form; the Monte-Carlo estimator
-synthesizes whole multicarrier frames through random channel realizations and
-measures the same three powers (useful, interference, noise) from demodulated
-symbols.  The two must agree within statistical error -- a strong end-to-end
+draws random symbols on every lattice atom, random channel realizations and
+noise, and measures the same three powers (useful, interference, noise) at
+the demodulated (0, 0) symbol, summing each atom's response through each
+path.  The two must agree within statistical error -- a strong end-to-end
 check, since they share no code path but the channel's Doppler nodes.
 """
 

@@ -1,11 +1,11 @@
 """Link-level Monte-Carlo estimator of useful/interference/noise powers.
 
-This module is the package's brute-force referee: it executes the discrete
-signal model literally -- random symbols on the full lattice, random complex
-path gains, per-path delay and Doppler, additive receiver noise -- and
-estimates the SINR at the (0, 0) decision variable by averaging over trials.
-No kernel matrices, no closed forms; agreement with ``pops.sinr`` is the
-strongest end-to-end check the package has.
+This module is the package's brute-force referee: it draws random symbols on
+every lattice atom that reaches the receive window, random complex path
+gains and additive receiver noise, and estimates the SINR at the (0, 0)
+decision variable by averaging over trials.  No kernel matrices, no closed
+forms; agreement with ``pops.sinr`` is the strongest end-to-end check the
+package has.
 
 The channel is read through the interface every evaluator uses: ``delays``,
 ``powers`` and ``doppler_nodes(L)``.  Each (tap, node) pair is one simulated
@@ -16,22 +16,23 @@ every lag below the window length (``L = len(rx)``) give path gains with
 exactly the channel's second-order statistics, which is all the SINR
 depends on under the WSSUS model.
 
-Per trial the transmitted signal is
+The signal model is the discrete one: the transmitted signal
+``e(q) = sum_{m,n} a_mn phi(q - nN) exp(2j pi m q / Q)`` passes the paths
+``r(p) = sum_j h_j e(p - d_j) exp(j theta_j p) + noise(p)``, with ``h_j``
+centered complex Gaussian of variance ``pi_j`` and ``theta_j`` the path's
+node, and the decision variable is ``Lambda = <psi_00, r>``.  For fixed gains
+Lambda is linear in the symbols, so it is summed atom by atom through the
+response matrix
 
-    e(q) = sum_{m,n} a_mn phi(q - nN) exp(2j pi m q / Q)
+    B[(n, m), j] = sum_p conj(psi(p)) exp(j theta_j p) phi(p - d_j - nN)
+                   exp(2j pi m (p - d_j) / Q),
 
-(the m-sum is a length-Q inverse DFT), the received signal is
-
-    r(p) = sum_k h_k e(p - p_k) exp(j theta_k p) + noise(p)
-
-with ``h_k`` centered complex Gaussian of variance ``pi_k`` and ``theta_k``
-the path's node, and the decision variable is ``Lambda = <psi_00, r>``.  The
-paths of one delay are summed into one time-varying gain over the receive
-window before it multiplies the delayed signal.  The useful part is isolated
-by running the channel on the ``a_00`` term alone (exact separation by
-linearity), the noise part by correlating the noise vector alone; the
-interference part is the remainder.  Reported powers are normalized by
-``E_phi * E_psi`` so they are directly comparable to ``SinrReport`` fields.
+atom (n, m) sent through path j and correlated with the receiver, built once
+per call, slot by slot (``_response_matrix``).  Per trial the useful part is
+``a_00 sum_j h_j B[(0, 0), j]``, the interference part the same sum over
+every other atom, and the noise part the correlated noise vector.  Reported
+powers are normalized by ``E_phi * E_psi`` so they are directly comparable
+to ``SinrReport`` fields.
 """
 
 from __future__ import annotations
@@ -70,7 +71,10 @@ class McConfig:
     rng_seed : int
         Nonnegative seed for the reproducible generator tree.
     chunk_size : int
-        Trials are vectorized in chunks of this size to bound memory.
+        Trials are vectorized in chunks of this size to bound memory: one
+        chunk holds chunk*S*Q complex symbols (S slots reaching the window),
+        chunk*P path gains and as many per-path sums (P paths), plus chunk*L
+        noise samples (L = len(rx)) when snr is finite.
     """
 
     trials: int
@@ -135,6 +139,35 @@ def _draw_symbols(rng: np.random.Generator, shape: tuple[int, ...], alphabet: st
     return (bits[..., 0] + 1j * bits[..., 1]) / math.sqrt(2.0)
 
 
+def _response_matrix(tx: Waveform, rx: Waveform, delays: np.ndarray, nodes: np.ndarray,
+                     slots: np.ndarray, N: int, Q: int) -> np.ndarray:
+    """B (S*Q x K*G): atom (slot ``slots[s]``, subcarrier m) at row s*Q + m, sent
+    through path (tap k, node g) at column k*G + g and correlated with the
+    receiver; ``nodes`` (K or 1 rows, G columns) are the taps' Doppler nodes.
+
+    Per slot, the delayed and phase-rotated pulse products of each path are
+    folded into the Q residues of ``p - rx.offset``; one length-Q inverse DFT
+    then sums every subcarrier, and the tap's ramp
+    ``exp(2j pi m (rx.offset - d_k) / Q)`` completes the exponent.
+    """
+    l_tx, l_rx = tx.samples.size, rx.samples.size
+    K, G = delays.size, nodes.shape[1]
+    window = rx.offset + np.arange(l_rx)
+    weight = rx.samples.conj() * np.exp(1j * np.broadcast_to(nodes, (K, G))[..., None] * window)
+    lag = window - tx.offset - delays[:, None]  # pulse sample index at slot 0
+    ramp = np.exp(2j * np.pi / Q * np.outer((rx.offset - delays) % Q, np.arange(Q)))
+    folds = -(-l_rx // Q)
+    padded = np.zeros((K, G, folds * Q), dtype=np.complex128)
+    B = np.empty((slots.size, Q, K * G), dtype=np.complex128)
+    for s, n in enumerate(slots):
+        idx = lag - n * N
+        pulse = np.where((idx >= 0) & (idx < l_tx), tx.samples[np.clip(idx, 0, l_tx - 1)], 0.0)
+        np.multiply(pulse[:, None], weight, out=padded[..., :l_rx])
+        residues = padded.reshape(K, G, folds, Q).sum(axis=2)
+        B[s] = (Q * np.fft.ifft(residues, axis=2) * ramp[:, None]).reshape(K * G, Q).T
+    return B.reshape(slots.size * Q, K * G)
+
+
 def estimate_sinr(
     tx: Waveform,
     rx: Waveform,
@@ -154,42 +187,23 @@ def estimate_sinr(
         raise ValueError(f"channel Ts = {ch.Ts} does not match lattice Ts = {cfg.Ts}")
     if not snr > 0.0:
         raise ValueError(f"snr must be positive, got {snr}")
+    if tx.energy == 0 or rx.energy == 0:
+        raise ValueError("waveforms must have nonzero energy")
 
     N, Q = cfg.N, cfg.Q
     l_rx = rx.samples.size
-    window = rx.offset + np.arange(l_rx)
     # One path per (tap, node), tap-major: the phases enter only at window
     # samples, so nodes exact at every lag |r| < l_rx give the exact statistics.
     nodes = ch.doppler_nodes(l_rx)
-    G = nodes.shape[1]
-    theta = np.broadcast_to(nodes, (ch.delays.size, G)).ravel()
-    powers = np.repeat(ch.powers / G, G)
-    path_delay = np.repeat(ch.delays.astype(np.int64), G)
-    path_phase = np.exp(1j * theta[:, None] * window)
-    # Paths are sorted by delay: the paths of each distinct delay are a slice.
-    delays, first = np.unique(path_delay, return_index=True)
-    taps = [slice(lo, hi) for lo, hi in zip(first, [*first[1:], path_delay.size])]
-    max_delay = int(delays[-1])
+    powers = np.repeat(ch.powers / nodes.shape[1], nodes.shape[1])
+    delays = ch.delays.astype(np.int64)
 
-    n_lo, n_hi = required_symbol_span(tx, rx, max_delay, N)
+    n_lo, n_hi = required_symbol_span(tx, rx, int(delays.max()), N)
     slots = np.arange(n_lo, n_hi + 1)
     slot0 = -n_lo
-
-    span_lo = rx.offset - max_delay
-    span_len = rx.end - span_lo
-    l_tx = tx.samples.size
-
-    # Per-slot scatter of the transmit pulse into the simulated span.
-    slot_maps = []
-    for n in slots:
-        g = tx.offset + n * N + np.arange(l_tx)
-        keep = (g >= span_lo) & (g < span_lo + span_len)
-        slot_maps.append((g[keep] - span_lo, g[keep] % Q, tx.samples[keep]))
-
-    # Per-delay receive-window gather, and the slot-0, subcarrier-0 pulse it
-    # delivers there (the useful branch).
-    tap_idx = [window - d - span_lo for d in delays]
-    tap_use = [tx.dense(rx.offset - d, l_rx) for d in delays]
+    B = _response_matrix(tx, rx, delays, nodes, slots, N, Q)
+    b_use = B[slot0 * Q].copy()
+    B[slot0 * Q] = 0.0  # every other atom interferes
 
     noise_var = tx.energy / snr if math.isfinite(snr) else 0.0
     psi_c = rx.samples.conj()
@@ -204,30 +218,16 @@ def estimate_sinr(
         chunk = min(mc.chunk_size, remaining)
         remaining -= chunk
 
-        a = _draw_symbols(rng, (chunk, len(slots), Q), mc.alphabet)
+        a = _draw_symbols(rng, (chunk, slots.size, Q), mc.alphabet)
         h = (rng.standard_normal((chunk, powers.size))
              + 1j * rng.standard_normal((chunk, powers.size)))
         h *= np.sqrt(powers / 2.0)
 
-        e_span = np.zeros((chunk, span_len), dtype=np.complex128)
-        for idx, (pos, car, amp) in enumerate(slot_maps):
-            if pos.size == 0:
-                continue
-            base = Q * np.fft.ifft(a[:, idx, :], axis=1)
-            e_span[:, pos] += base[:, car] * amp
-
-        r_full = np.zeros((chunk, l_rx), dtype=np.complex128)
-        r_use = np.zeros((chunk, l_rx), dtype=np.complex128)
-        for tap, idx, use in zip(taps, tap_idx, tap_use):
-            gain = h[:, tap] @ path_phase[tap]  # the tap's gain at each window sample
-            r_full += gain * e_span[:, idx]
-            r_use += gain * use
-        r_use *= a[:, slot0, 0, None]
-
-        lam_use = r_use @ psi_c
-        lam_int = (r_full - r_use) @ psi_c
+        per_path = a.reshape(chunk, -1) @ B
+        per_path *= h
+        lam_use = a[:, slot0, 0] * (h @ b_use)
         u_parts.append(np.abs(lam_use) ** 2)
-        i_parts.append(np.abs(lam_int) ** 2)
+        i_parts.append(np.abs(per_path.sum(axis=1)) ** 2)
         if noise_var > 0.0:
             noise = (
                 rng.standard_normal((chunk, l_rx)) + 1j * rng.standard_normal((chunk, l_rx))

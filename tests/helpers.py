@@ -10,6 +10,7 @@ from scipy.special import j0
 from pops import (KernelMatrix, LatticeConfig, PathList, SeparableChannel, Waveform, normalized,
                   power_ratio)
 from pops.kernels import best_window_start, to_comb
+from pops.montecarlo import McEstimate, _draw_symbols, required_symbol_span
 
 
 def random_pathlist(rng, max_delay, k=3, complex_doppler=True, nu_scale=0.01):
@@ -237,3 +238,120 @@ def dense_oob_fraction(w, cfg, band_halfwidth_f):
     d = np.subtract.outer(np.arange(x.size), np.arange(x.size))
     P = np.where(d == 0, 2 * beta, np.sin(2 * np.pi * beta * d) / (np.pi * np.where(d == 0, 1, d)))
     return 1.0 - np.vdot(x, P @ x).real / np.vdot(x, x).real
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo executed in the time domain: the oracle of the response matrix.
+# ---------------------------------------------------------------------------
+
+def time_domain_mc(tx, rx, ch, cfg, snr, mc):
+    """``estimate_sinr`` written as the literal simulation, with the same draws:
+    per trial the transmitted span is synthesized slot by slot (one inverse DFT
+    each), every delay's time-varying gain multiplies its delayed copy on the
+    receive window, and the interference is what remains of Lambda = <psi, r>
+    once the a_00 term is removed."""
+    N, Q = cfg.N, cfg.Q
+    l_rx = rx.samples.size
+    window = rx.offset + np.arange(l_rx)
+    nodes = ch.doppler_nodes(l_rx)
+    G = nodes.shape[1]
+    theta = np.broadcast_to(nodes, (ch.delays.size, G)).ravel()
+    powers = np.repeat(ch.powers / G, G)
+    path_delay = np.repeat(ch.delays.astype(np.int64), G)
+    path_phase = np.exp(1j * theta[:, None] * window)
+    # Paths are sorted by delay: the paths of each distinct delay are a slice.
+    delays, first = np.unique(path_delay, return_index=True)
+    taps = [slice(lo, hi) for lo, hi in zip(first, [*first[1:], path_delay.size])]
+    max_delay = int(delays[-1])
+
+    n_lo, n_hi = required_symbol_span(tx, rx, max_delay, N)
+    slots = np.arange(n_lo, n_hi + 1)
+    slot0 = -n_lo
+
+    span_lo = rx.offset - max_delay
+    span_len = rx.end - span_lo
+    l_tx = tx.samples.size
+
+    # Per-slot scatter of the transmit pulse into the simulated span.
+    slot_maps = []
+    for n in slots:
+        g = tx.offset + n * N + np.arange(l_tx)
+        keep = (g >= span_lo) & (g < span_lo + span_len)
+        slot_maps.append((g[keep] - span_lo, g[keep] % Q, tx.samples[keep]))
+
+    # Per-delay receive-window gather, and the slot-0, subcarrier-0 pulse it
+    # delivers there (the useful branch).
+    tap_idx = [window - d - span_lo for d in delays]
+    tap_use = [tx.dense(rx.offset - d, l_rx) for d in delays]
+
+    noise_var = tx.energy / snr if math.isfinite(snr) else 0.0
+    psi_c = rx.samples.conj()
+    scale = tx.energy * rx.energy
+
+    u_parts, i_parts, n_parts = [], [], []
+    n_chunks = -(-mc.trials // mc.chunk_size)
+    seeds = np.random.SeedSequence(mc.rng_seed).spawn(n_chunks)
+    remaining = mc.trials
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        chunk = min(mc.chunk_size, remaining)
+        remaining -= chunk
+
+        a = _draw_symbols(rng, (chunk, len(slots), Q), mc.alphabet)
+        h = (rng.standard_normal((chunk, powers.size))
+             + 1j * rng.standard_normal((chunk, powers.size)))
+        h *= np.sqrt(powers / 2.0)
+
+        e_span = np.zeros((chunk, span_len), dtype=np.complex128)
+        for idx, (pos, car, amp) in enumerate(slot_maps):
+            if pos.size == 0:
+                continue
+            base = Q * np.fft.ifft(a[:, idx, :], axis=1)
+            e_span[:, pos] += base[:, car] * amp
+
+        r_full = np.zeros((chunk, l_rx), dtype=np.complex128)
+        r_use = np.zeros((chunk, l_rx), dtype=np.complex128)
+        for tap, idx, use in zip(taps, tap_idx, tap_use):
+            gain = h[:, tap] @ path_phase[tap]  # the tap's gain at each window sample
+            r_full += gain * e_span[:, idx]
+            r_use += gain * use
+        r_use *= a[:, slot0, 0, None]
+
+        lam_use = r_use @ psi_c
+        lam_int = (r_full - r_use) @ psi_c
+        u_parts.append(np.abs(lam_use) ** 2)
+        i_parts.append(np.abs(lam_int) ** 2)
+        if noise_var > 0.0:
+            noise = (
+                rng.standard_normal((chunk, l_rx)) + 1j * rng.standard_normal((chunk, l_rx))
+            ) * math.sqrt(noise_var / 2.0)
+            n_parts.append(np.abs(noise @ psi_c) ** 2)
+
+    u = np.concatenate(u_parts)
+    v = np.concatenate(i_parts)
+    w = np.concatenate(n_parts) if n_parts else np.zeros_like(v)
+    t = float(mc.trials)
+    ps, pi, pn = (float(x.mean()) / scale for x in (u, v, w))
+    est = power_ratio(ps, pi + pn)
+    if mc.trials > 1 and math.isfinite(est) and pi + pn > 0.0:
+        usum, dsum = u.sum(), (v + w).sum()
+        loo = (usum - u) / (dsum - (v + w))
+        se = float(np.sqrt((t - 1.0) / t * np.sum((loo - loo.mean()) ** 2)))
+    else:
+        se = math.inf
+    return McEstimate(sinr=est, se=se, ps=ps, pi=pi, pn=pn, trials=mc.trials)
+
+
+def direct_response_matrix(tx, rx, theta, path_delay, slots, N, Q):
+    """The response matrix summed atom by atom over the receive window:
+    B[(s, m), j] = sum_p conj(psi(p)) exp(j theta_j p) phi(p - d_j - n_s N)
+    exp(2j pi m (p - d_j) / Q)."""
+    p = rx.offset + np.arange(len(rx))
+    B = np.zeros((len(slots) * Q, len(theta)), dtype=np.complex128)
+    for s, n in enumerate(slots):
+        for m in range(Q):
+            for j, (th, d) in enumerate(zip(theta, path_delay)):
+                phi = tx.dense(rx.offset - d - n * N, len(rx))
+                B[s * Q + m, j] = np.sum(rx.samples.conj() * np.exp(1j * th * p) * phi
+                                         * np.exp(2j * np.pi * m * (p - d) / Q))
+    return B

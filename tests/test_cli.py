@@ -125,6 +125,17 @@ def test_upperbound_on_shipped_scenario(ini, tmp_path):
         assert bound >= sinr(init, init, sc.channel(), cfg, sc.snr).sir
 
 
+@pytest.mark.parametrize("ini", SCENARIOS, ids=lambda p: p.name)
+def test_montecarlo_on_shipped_scenario(ini, tmp_path):
+    assert run_cli("montecarlo", str(ini), "--set", f"run.output_dir={tmp_path}") == EXIT_OK
+    row = (tmp_path / "montecarlo.csv").read_text().splitlines()[2].split(",")
+    est, se = float(row[0]), float(row[1])
+    sc = load_scenario(ini)
+    cfg = sc.lattice()
+    want = sinr(*sc.sinr_pair(cfg), sc.channel(), cfg, sc.snr).sinr
+    assert math.isfinite(se) and abs(est - want) <= 4.0 * se
+
+
 def _assert_sidecar_replays(csv_path):
     """Replaying the written sidecar gives the written series exactly."""
     written = read_sweep_csv(csv_path)

@@ -6,17 +6,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import direct_response_matrix, random_waveform, time_domain_mc
 from pops import (
     LatticeConfig,
     McConfig,
     PathList,
     SeparableChannel,
+    Waveform,
     estimate_sinr,
     make_conventional_rx,
     make_conventional_tx,
     required_symbol_span,
+    save_waveform_csv,
     sinr,
 )
+from pops import montecarlo
 from pops.cli import EXIT_VALIDATION, main
 
 
@@ -196,3 +200,87 @@ class TestEstimatorStatistics:
         se4 = estimate_sinr(self.tx, self.rx, self.ch, self.cfg, 10.0,
                             McConfig(trials=4000, rng_seed=3)).se
         assert 1.4 < se1 / se4 < 2.9  # ideal ratio: 2
+
+
+class TestZeroEnergy:
+    """A pulse without energy is refused before any trial is drawn."""
+
+    def setup_method(self):
+        self.cfg = LatticeConfig(N=20, Q=16)
+        self.tx = make_conventional_tx(self.cfg)
+        self.rx = make_conventional_rx(self.cfg)
+        self.ch = SeparableChannel.from_spread_product(self.cfg, 0.01)
+
+    @pytest.mark.parametrize("silent", ["tx", "rx"])
+    def test_refused_before_any_draw(self, silent, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("no symbol may be drawn for a zero-energy pulse")
+
+        monkeypatch.setattr(montecarlo, "_draw_symbols", refuse)
+        pair = {"tx": self.tx, "rx": self.rx}
+        pair[silent] = Waveform(np.zeros(len(pair[silent])), offset=pair[silent].offset)
+        with pytest.raises(ValueError, match="waveforms must have nonzero energy"):
+            estimate_sinr(pair["tx"], pair["rx"], self.ch, self.cfg, 10.0, McConfig(trials=100))
+
+    def test_cli_exits_with_validation_error(self, tmp_path, capsys):
+        ini = Path(__file__).resolve().parent.parent / "demos" / "scenarios" / "small.ini"
+        zero = tmp_path / "zero.csv"
+        save_waveform_csv(Waveform(np.zeros(self.cfg.L_phi), offset=self.tx.offset), zero)
+        code = main(["montecarlo", str(ini), "--set", f"sinr.tx_file={zero}",
+                     "--set", f"run.output_dir={tmp_path}"])
+        assert code == EXIT_VALIDATION
+        assert "error: waveforms must have nonzero energy" in capsys.readouterr().err
+
+
+# Jakes spreads Bd*Ts giving 6 and 17 nodes on a receive window of D*20 samples.
+_SPREADS = {1: (0.007, 0.16), 2: (0.004, 0.08), 3: (0.0025, 0.052)}
+
+
+def _grid_channel(kind, D):
+    if kind == "paths":  # Dopplers on every path; delays past the guard and past N
+        return PathList.from_paths([(0, 0.013, 0.4), (7, -0.021, 0.3), (23, 0.034, 0.2),
+                                    (45, -0.008, 0.1)])
+    bd = _SPREADS[D][kind == "17 nodes"]
+    return SeparableChannel.with_uniform_delays(K=3, b=0.5, max_delay=9, Bd=bd)
+
+
+class TestAgainstTimeDomain:
+    """The response-matrix estimator equals the literal time-domain simulation
+    of the same draws (``helpers.time_domain_mc``) to rounding."""
+
+    @pytest.mark.parametrize("alphabet,snr", [("gaussian", 10.0), ("qpsk", math.inf)])
+    @pytest.mark.parametrize("kind", ["paths", "6 nodes", "17 nodes"])
+    @pytest.mark.parametrize("D", [1, 2, 3])
+    def test_equals_time_domain_oracle(self, D, kind, alphabet, snr):
+        cfg = LatticeConfig(N=20, Q=16, Dphi=D, Dpsi=D)
+        rng = np.random.default_rng(100 * D + len(kind))
+        tx = random_waveform(rng, cfg.L_phi, offset=-3)
+        rx = random_waveform(rng, cfg.L_psi, offset=5)
+        ch = _grid_channel(kind, D)
+        if kind != "paths":
+            assert ch.doppler_nodes(len(rx)).shape == (1, int(kind.split()[0]))
+        assert required_symbol_span(tx, rx, ch.max_delay, cfg.N)[0] < 0
+        mc = McConfig(trials=700, rng_seed=D, alphabet=alphabet, chunk_size=300)
+        got = estimate_sinr(tx, rx, ch, cfg, snr, mc)
+        want = time_domain_mc(tx, rx, ch, cfg, snr, mc)
+        assert got.pi > 0.01 * got.ps
+        for field in ("ps", "pi", "pn", "sinr", "se"):
+            want_value = pytest.approx(getattr(want, field), rel=1e-12, abs=0.0)
+            assert getattr(got, field) == want_value, field
+
+    def test_response_matrix_equals_atom_sum(self):
+        cfg = LatticeConfig(N=20, Q=16, Dphi=2, Dpsi=2)
+        rng = np.random.default_rng(3)
+        tx = random_waveform(rng, cfg.L_phi, offset=-5)
+        rx = random_waveform(rng, cfg.L_psi, offset=9)
+        for ch in (_grid_channel("paths", 2), _grid_channel("6 nodes", 2)):
+            nodes = ch.doppler_nodes(len(rx))
+            n_lo, n_hi = required_symbol_span(tx, rx, ch.max_delay, cfg.N)
+            slots = np.arange(n_lo, n_hi + 1)
+            G = nodes.shape[1]
+            theta = np.broadcast_to(nodes, (ch.delays.size, G)).ravel()
+            B = montecarlo._response_matrix(tx, rx, ch.delays, nodes, slots, cfg.N, cfg.Q)
+            want = direct_response_matrix(tx, rx, theta, np.repeat(ch.delays, G), slots,
+                                          cfg.N, cfg.Q)
+            assert B.shape == (slots.size * cfg.Q, ch.delays.size * G)
+            assert np.max(np.abs(B - want)) <= 1e-12 * np.max(np.abs(want))
