@@ -17,7 +17,7 @@ with rho_k(r) the mean of exp(j theta r) over the tap's Doppler nodes
 explicit path, J0(pi Bd Ts r) to 1e-14 for a separable channel.  The
 subcarrier sum in KI is folded analytically through
 sum_{m=0}^{Q-1} exp(2j pi m r / Q) = Q * [r = 0 mod Q]; the remaining lattice
-sum over time shifts n runs over the finitely many terms with support overlap.
+sum over time shifts n is a fold of the pulse's lag products by N (below).
 
 No L x L product is formed:
 
@@ -29,8 +29,17 @@ No L x L product is formed:
   (mod Q): it is stored as its Q residue blocks T[c, a, b] = T(c + a Q, c + b Q),
   stacked and zero-padded to (Q, m, m) with m = ceil(L / Q).  The noise term is
   added here, in :func:`build_ks_kin`, and nowhere else; KI is T - C C^H at snr=inf.
+* Along each comb diagonal T is N-periodic, because the lattice sum runs over
+  every time shift n N (the circulant structure of a periodized sum):
 
-Assembly costs O(L (r + J m)) for J lattice shifts, a half-step O(L (m^2 + m r + r^2) + r^3),
+      T(p, p - l Q) = sum_k Q pi_k rho_k(l Q) A_l(p - p_k),
+      A_l(t) = sum_n w(t - n N) conj(w(t - l Q - n N)).
+
+  So the m lag products A_l are folded onto N residues, summed over the taps
+  there, and read into the blocks; the upper triangle is their conjugate.
+
+For a pulse of n samples and K taps, assembly costs O(L (r + m) + m (n + K N)),
+whatever the number of lattice shifts, a half-step O(L (m^2 + m r + r^2) + r^3),
 and the forms of P receivers on the window (:meth:`KernelMatrix.forms`) O(L r P + Q m^2 P).
 
 Only the pulse's samples change from one ping-pong half-step to the next, so
@@ -40,15 +49,18 @@ for about 30 geometries).  For KS the layout is keyed by (channel, L, window
 start, pulse offset, pulse length) and holds the gather index (K, L) of the
 taps' rows in the zero-padded pulse, sqrt(pi_k) and the node phases per node.
 For T it is keyed by those and the lattice, and holds the gather index
-(Q, m, J) of the J (tap, shift) rows already in comb layout, their weights
-sqrt(pi_k) (times the tap's phase for one node per tap), Q times the comb
-Toeplitz of the Doppler correlation (or Q) and the valid-sample mask.
-Channels and lattices are values, so an equal channel built anew hits too.
-After a hit, each kernel costs one padded copy of the pulse, one gather and
-the products.  The indices are int32, half the bytes of numpy's default, and
-read through ``take``.  At L = 768 (N=256/Q=128, D=3) with 8 taps, 7 nodes
-and J = 48 rows an entry holds about 111 kB for KS (the node phases, 16 G L
-bytes, and the index, 4 K L) and 155 kB for T (the index, 4 J m Q bytes).
+(m, ceil(n/N), N+1) of the pulse folded by N, the residue (K, min(N, L)+1) of
+the lag products each tap reads at each window residue, the tap weights
+Q pi_k rho_k(l Q) from the Doppler nodes (one code path for both channel
+kinds), and the gather index (Q, m, m) of the blocks; none of it grows with
+the number of lattice shifts.  Channels and lattices are values, so an equal
+channel built anew hits too.  After a hit, KS costs one padded copy of the
+pulse, one gather and the products; T one copy of the pulse, three gathers,
+the lag products and one batched product over the taps.  The indices are
+int32, half the bytes of numpy's default, and read through ``take``.  At
+L = 768 (N=256/Q=128, D=3) with 8 taps and 7 nodes an entry holds about
+111 kB for KS (the node phases, 16 G L bytes, and the index, 4 K L) and
+46 kB for T (the indices, 4 (m ceil(n/N) (N+1) + K (N+1) + Q m^2) bytes).
 
 Kernels come in one orientation, S(p, nu).  The role-swapped S(-p, -nu)
 kernels of w on [s, s+L) are the index-reversed kernels of time_reverse(w) on
@@ -63,7 +75,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .channel import doppler_correlation
 from .lattice import LatticeConfig, Waveform
@@ -71,6 +82,9 @@ from .lattice import LatticeConfig, Waveform
 __all__ = ["KernelMatrix", "build_ks", "build_ki", "build_ks_kin", "best_window_start"]
 
 _LAYOUTS = 64
+# Appended to the pulse: the sample that every fold index off the pulse reads.
+_ZERO = np.zeros(1, dtype=np.complex128)
+_ZERO.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -183,18 +197,22 @@ class _UsefulLayout:
 
 @dataclass(frozen=True)
 class _TotalLayout:
-    """What T takes from the geometry: the gather index (Q, m, J) of the J
-    (tap, shift) rows in comb layout (a padding entry reads the padded pulse's
-    first sample, a zero), their weight, sqrt(pi_k) per row or, for one node
-    per tap, sqrt(pi_k) times the tap's phase at each entry (Q, m, J, zero on
-    the padding); the factor applied to the comb blocks, Q times the comb
-    Toeplitz (m, m) of the shared nodes' correlation, or Q; and the
-    valid-sample mask (Q, m)."""
+    """What T takes from the geometry, none of it sized by the lattice shifts.
 
-    index: np.ndarray
+    With m = ceil(L / Q) comb lags and P = min(N, L) window residues: the
+    gather index (m, ceil(n/N), N+1) of the pulse folded by N, entry
+    [l, j, r] reading sample j N + r - l Q (column N and every index off the
+    pulse read the zero appended to it); the residue (K, P+1) of the folded
+    lag products that each tap reads at each window residue, column P
+    reading their zero column; the tap weights Q pi_k rho_k(l Q), shape
+    (m, 1, K); and the gather index (Q, m, m) of the comb blocks into the
+    summed products (m, P+1), followed for m > 1 by their conjugates, which
+    the upper triangle reads.  Comb padding reads the zero of column P."""
+
+    fold: np.ndarray
+    residues: np.ndarray
     weight: np.ndarray
-    scale: np.ndarray | int
-    valid: np.ndarray
+    comb: np.ndarray
 
 
 def _frozen(cls, **fields):
@@ -218,27 +236,29 @@ def _useful_layout(ch, L: int, s: int, offset: int, n: int) -> _UsefulLayout:
 def _total_layout(ch, cfg: LatticeConfig, L: int, s: int, offset: int, n: int) -> _TotalLayout:
     if abs(ch.Ts - cfg.Ts) > 0:
         raise ValueError(f"channel Ts={ch.Ts} disagrees with lattice Ts={cfg.Ts}")
-    useful, N, Q = _useful_layout(ch, L, s, offset, n), cfg.N, cfg.Q
-    delays, nodes = ch.delays, ch.doppler_nodes(L)
-    # Shift d + nN overlaps [s, s+L) for n in [n_lo, n_hi].
-    n_lo = (s - delays - offset - n) // N + 1
-    n_hi = -((offset - s + delays - L) // N) - 1
-    path = np.repeat(np.arange(len(delays)), np.maximum(n_hi - n_lo + 1, 0))
-    shifts = delays[path] + (n_lo[path] + np.arange(path.size) - np.searchsorted(path, path)) * N
-    index = to_comb(((s - offset + L) - shifts) + np.arange(L)[:, None], Q)  # (Q, m, J)
-    amp = useful.amp[path, 0]
-    if nodes.shape[1] == 1:  # one node per tap phases that tap's rows
-        phase = np.broadcast_to(useful.phase[:, 0], (len(delays), L))[path]
-        weight, scale = to_comb((amp[:, None] * phase).T, Q), Q
-    else:  # a node row shared by all taps: its mean phase at lags Q k, k < m
-        weight = amp
-        scale = Q * toeplitz(doppler_correlation(nodes, Q * np.arange(-(-L // Q)))[0])
-    return _frozen(_TotalLayout, index=index.astype(np.int32),
-                   weight=np.ascontiguousarray(weight), scale=scale, valid=to_comb(np.ones(L), Q))
+    N, Q = cfg.N, cfg.Q
+    m, P = -(-L // Q), min(N, L)
+    lags = Q * np.arange(m)
+    # Row l of the fold holds the samples l Q before row 0's: their product is lag l Q's.
+    r = np.arange(N + 1)
+    sample = (N * np.arange(-(-n // N)))[:, None] + r - lags[:, None, None]
+    fold = np.where((r < N) & (sample >= 0) & (sample < n), sample, n)
+    # Window residue t of tap k reads the products at pulse residue t + s - offset - d_k.
+    t = np.arange(P + 1)
+    residues = np.where(t < P, (t + (s - offset) - ch.delays[:, None]) % N, N)
+    weight = Q * ch.powers[:, None] * doppler_correlation(ch.doppler_nodes(L), lags)
+    # Entry (a, b) of block c is lag |a - b| at window sample c + max(a, b) Q,
+    # conjugated above the diagonal.
+    a, b = np.arange(m)[:, None], np.arange(m)
+    i = np.arange(Q)[:, None, None] + Q * np.maximum(a, b)
+    comb = np.where(i < L, abs(a - b) * (P + 1) + i % N + (a < b) * m * (P + 1), P)
+    return _frozen(_TotalLayout, fold=fold.astype(np.int32), residues=residues.astype(np.int32),
+                   weight=np.ascontiguousarray(weight.T[:, None, :]),
+                   comb=comb.astype(np.int32))
 
 
 def _padded(w: Waveform, L: int) -> np.ndarray:
-    """The pulse's samples zero-padded by L on both sides, which every layout index reads."""
+    """The pulse's samples zero-padded by L on both sides, which the KS layout's index reads."""
     padded = np.zeros(len(w) + 2 * L, dtype=np.complex128)
     padded[L : L + len(w)] = w.samples
     return padded
@@ -265,15 +285,20 @@ def build_ks(w: Waveform, ch, L_out: int, window_start: int | None = None) -> Ke
 def _total(w: Waveform, ch, cfg: LatticeConfig, ks: KernelMatrix,
            noise: float = 0.0) -> KernelMatrix:
     """T = KS + KI + noise I on the window of ks, as comb blocks: the total over
-    lattice shifts, plus noise on the window's samples (not on the padding)."""
-    L, s, Q = ks.L, ks.window_start, cfg.Q
+    lattice shifts, plus noise on the window's samples (not on the padding).
+    The lag products A_l of the module docstring are folded onto N residues,
+    summed over the taps there, and read into the blocks."""
+    L, s = ks.L, ks.window_start
     lay = _total_layout(ch, cfg, L, s, w.offset, len(w))
-    u = _padded(w, L).take(lay.index)  # (Q, m, J)
-    u *= lay.weight
-    blocks = u @ u.conj().swapaxes(1, 2)
-    blocks *= lay.scale
+    folded = np.concatenate((w.samples, _ZERO)).take(lay.fold)  # (m, ceil(n/N), N+1)
+    products = folded.conj()
+    products *= folded[0]
+    sums = lay.weight @ products.sum(axis=1).take(lay.residues, axis=1)  # (m, 1, P+1)
     if noise:
-        blocks.reshape(Q, -1)[:, :: blocks.shape[1] + 1] += noise * lay.valid
+        sums[0, 0, :-1] += noise
+    if len(sums) > 1:
+        sums = np.concatenate((sums, sums.conj()))
+    blocks = sums.take(lay.comb)
     blocks.flags.writeable = False
     return KernelMatrix(blocks, s, ks.data)
 

@@ -15,6 +15,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,8 +142,9 @@ class Waveform:
         """One past the last occupied global index."""
         return self.offset + self.samples.size
 
-    @property
+    @functools.cached_property
     def energy(self) -> float:
+        """Sum of |samples|^2, computed once: the samples are read-only."""
         return float(np.sum(np.abs(self.samples) ** 2))
 
     def dense(self, start: int, length: int) -> np.ndarray:

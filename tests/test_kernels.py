@@ -2,6 +2,7 @@
 subcarriers, and against the dense builders they replaced."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from pops import (
     make_conventional_rx,
     make_conventional_tx,
 )
-from pops.kernels import to_comb
+from pops.kernels import _total, to_comb
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +145,72 @@ class TestInterferenceKernelOracle:
         want = oracle_total(w, ch, cfg, -4, 8) - oracle_ks(w, ch, -4, 8)
         assert rel_err(expand(ki), want) < 1e-12
         assert rel_err(expand(ki), dense_ki(w, ch, cfg, 8, -4)) < 1e-12
+
+
+def _geometry(name):
+    """(lattice, channel, pulse, window length, window start) of a named T geometry."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+    paths = PathList.from_paths([(0, 0.01, 0.3), (2, -0.02, 0.3), (13, 0.005, 0.4)])
+    if name == "wrap-only":  # four periods before the pulse: no n = 0 term reaches it
+        return small_config(n=10, q=8), paths, random_waveform(rng, 14, offset=-3), 12, -40
+    if name == "window-past-reach":  # L = 31 > D N + max delay = 23, and Q does not divide L
+        ch = SeparableChannel.with_uniform_delays(K=3, b=0.5, max_delay=3, Bd=0.02)
+        return small_config(n=10, q=8), ch, random_waveform(rng, 20, offset=-5), 31, -8
+    if name == "pulse-not-multiple-of-N":
+        return small_config(n=10, q=6), paths, random_waveform(rng, 23, offset=2), 17, 0
+    if name == "padding":
+        ch = SeparableChannel.with_uniform_delays(K=4, b=0.5, max_delay=6, Bd=0.01)
+        return small_config(n=12, q=8), ch, random_waveform(rng, 12, offset=-6), 21, -3
+    if name == "one-comb-lag":  # L <= Q: m = 1
+        return small_config(n=12, q=8), paths, random_waveform(rng, 12, offset=-6), 5, 1
+    assert name == "equal-delays"  # distinct Dopplers at one delay
+    ch = PathList.from_paths([(2, 0.03, 0.3), (2, -0.02, 0.3), (5, 0.01, 0.4)])
+    return small_config(n=10, q=8), ch, random_waveform(rng, 15, offset=-4), 14, -2
+
+
+class TestPeriodicAssembly:
+    """T built from the pulse's N-periodic lag products, on geometries that
+    random draws rarely reach, against the dense oracle."""
+
+    NAMES = ["wrap-only", "window-past-reach", "pulse-not-multiple-of-N", "padding",
+             "one-comb-lag", "equal-delays"]
+
+    @pytest.mark.parametrize("snr", [10.0, math.inf])
+    @pytest.mark.parametrize("name", NAMES)
+    def test_equals_dense_oracle(self, name, snr):
+        cfg, ch, w, L, s = _geometry(name)
+        ks, kin = build_ks_kin(w, ch, cfg, L, snr, window_start=s)
+        want = dense_ki(w, ch, cfg, L, s) + (0.0 if math.isinf(snr) else w.energy / snr) * np.eye(L)
+        scale = max(np.abs(want).max(), np.abs(expand(ks)).max())
+        np.testing.assert_allclose(expand(kin), want, rtol=0, atol=1e-10 * scale)
+        assert kin.data.shape == (cfg.Q, -(-L // cfg.Q), -(-L // cfg.Q))
+        pad = ~to_comb(np.ones(L, dtype=bool), cfg.Q)  # (Q, m), True on the padding
+        assert pad.any() == (L % cfg.Q != 0)
+        for blocks in (kin.data, kin.data.swapaxes(1, 2)):
+            assert np.all(blocks[pad] == 0.0)
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_windows_a_period_apart_share_blocks(self, name):
+        cfg, ch, w, L, s = _geometry(name)
+        near = build_ks_kin(w, ch, cfg, L, 10.0, window_start=s)[1]
+        far = build_ks_kin(w, ch, cfg, L, 10.0, window_start=s + cfg.N)[1]
+        np.testing.assert_array_equal(near.data, far.data)
+
+    def test_long_pulse_assembly_stays_small(self):
+        # One T at N=256/Q=128, D=3 (L=768) on a built layout: the lag products
+        # of the folded pulse, not one gathered row per (tap, lattice shift).
+        cfg = LatticeConfig(N=256, Q=128, Dphi=3, Dpsi=3)
+        ch = SeparableChannel.from_spread_product(cfg, 0.01, bd_over_f=0.05)
+        w = random_waveform(np.random.default_rng(5), cfg.L_phi, offset=-cfg.L_phi // 2)
+        ks = build_ks(w, ch, cfg.L_psi, window_start=w.offset)
+        _total(w, ch, cfg, ks, 0.1)
+        tracemalloc.start()
+        try:
+            _total(w, ch, cfg, ks, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestKernelInvariants:
