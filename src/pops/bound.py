@@ -25,6 +25,15 @@ nodes, so a separable channel's taps carry J0 to 1e-14.  The bound is the
 largest top eigenvalue of the per-lag problems, each of size at most
 ``min(L_phi, L_psi)``.
 
+A is zero on every lag that is not a path delay's, and such a block adds 0
+to the bound, so only the useful blocks (A != 0) are built and solved: 8 of
+the 38 of ``demos/scenarios/full_scale.ini``.  The others still set the
+scale of the range threshold, the largest eigenvalue of A + B over all
+blocks.  A + B has one symbol per residue of the lag mod N, so each block is
+a leading section of its residue's longest, whose top eigenvalue bounds the
+rest (Cauchy interlacing); with the default windows that block is the
+useful one.
+
 The construction is pinned down by the identity
 ``kronecker_quotient(sys, tx, rx) == sir(tx, rx)`` for every pair embedded in
 the system's windows; ``tests/test_bound.py`` checks it against the kernel
@@ -116,8 +125,8 @@ def _delay_autocorrelation(ch: PathList | SeparableChannel, d: np.ndarray) -> np
     about half the eigensolve time.
     """
     delays, group = np.unique(ch.delays, return_inverse=True)
-    rho = np.zeros((delays.size, d.size), dtype=np.complex128)
-    np.add.at(rho, group, ch.powers[:, None] * doppler_correlation(-ch.doppler_nodes(d.size), d))
+    member = (group == np.arange(delays.size)[:, None]).astype(np.float64)
+    rho = member @ (ch.powers[:, None] * doppler_correlation(-ch.doppler_nodes(d.size), d))
     return np.real_if_close(rho)
 
 
@@ -127,7 +136,8 @@ def _toeplitz_blocks(symbol: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     r = np.arange(symbol.shape[1])
     diff = r[:, None] - r[None, :]
     blocks = symbol[:, np.abs(diff)]
-    blocks[:, diff < 0] = blocks[:, diff < 0].conj()
+    if np.iscomplexobj(blocks):
+        blocks[:, diff < 0] = blocks[:, diff < 0].conj()
     inside = r < sizes[:, None]
     blocks[~(inside[:, :, None] & inside[:, None, :])] = 0.0
     return blocks
@@ -194,8 +204,14 @@ def build_kronecker_system(
     a_symbol = own @ rho
     comb = np.where(d % cfg.Q == 0, float(cfg.Q), 0.0)
     b_symbol = comb * (folded.astype(np.float64) @ rho) - a_symbol
+    # A's block is zero at every lag that is not a delay's (a_symbol[t, 0] is the
+    # power at that delay): only the useful blocks are written, so the pages of
+    # the others are never touched.
+    useful = a_symbol[:, :1].any(axis=1)
+    a_matrix = np.zeros((lags.size, d.size, d.size), dtype=a_symbol.dtype)
+    a_matrix[useful] = _toeplitz_blocks(a_symbol[useful], sizes[useful])
     return KroneckerSystem(
-        a_matrix=_toeplitz_blocks(a_symbol, sizes),
+        a_matrix=a_matrix,
         b_matrix=_toeplitz_blocks(b_symbol, sizes),
         lags=lags,
         phi_offset=phi_offset,
@@ -234,6 +250,33 @@ def kronecker_quotient(sys: KroneckerSystem, tx: Waveform, rx: Waveform) -> floa
     return power_ratio(ps, pi)
 
 
+def _range_reference(sys: KroneckerSystem, useful: np.ndarray, top: np.ndarray) -> float:
+    """Largest eigenvalue of A + B over all blocks, given ``top``, those of the useful ones.
+
+    A + B has the symbol ``Q [d = 0 mod Q]`` times the sum over every delay
+    that folds onto the block's lag, one symbol per residue of the lag mod N.
+    A block whose symbol agrees with a longer block's on its own length is a
+    leading section of it, so by Cauchy interlacing its top eigenvalue is at
+    most the longer one's.  With the default windows every useful block is
+    the longest of its residue and covers the rest; a block that no useful
+    block covers (explicit windows) is solved, where A = 0 and A + B = B.
+    """
+    other = np.ones(sys.lags.size, dtype=bool)
+    other[useful] = False
+    # Row 0 of a Hermitian Toeplitz block is its conjugated symbol, zero past its size.
+    rows = sys.b_matrix[:, 0, :].copy()
+    rows[useful] += sys.a_matrix[useful, 0, :]
+    _, sizes = _lag_rows(sys.lags, sys.phi_length, sys.psi_length)
+    inside = np.arange(rows.shape[1]) < sizes[other, None]
+    gap = np.abs(rows[other][:, None, :] - rows[useful]).max(axis=2, where=inside[:, None, :],
+                                                             initial=0.0)
+    covered = (gap <= _RANGE_RTOL * np.abs(rows).max()) & (sizes[useful] >= sizes[other, None])
+    rest = np.flatnonzero(other)[~covered.any(axis=1)]
+    if rest.size:
+        return max(top.max(), np.linalg.eigvalsh(sys.b_matrix[rest])[:, -1].max())
+    return top.max()
+
+
 def upper_bound(sys: KroneckerSystem, snr: float = math.inf) -> float:
     """Largest generalized eigenvalue of (A, B + I/snr).
 
@@ -241,12 +284,18 @@ def upper_bound(sys: KroneckerSystem, snr: float = math.inf) -> float:
     denominator, so the quotient relaxes the exact SINR and its maximum
     dominates the SINR of every waveform pair supported on the system's
     windows (snr = inf gives the pure SIR bound).  A and B are block diagonal
-    by lag, so this is the largest of the per-block top eigenvalues.
+    by lag, so this is the largest of the per-block top eigenvalues.  Only
+    the useful blocks, those of a path delay's lag, are solved: where A = 0
+    the block's eigenvalue is 0, and the useful blocks are 8 of the 38 of
+    ``demos/scenarios/full_scale.ini``.
 
     The blocks are solved as the optimizer's half-step is: on the range of
     T = A + B + I/snr, the top eigenpair of T^-1/2 A T^-1/2 gives the
     maximizing ``chi``, and the bound is that vector's quotient, read at
     snr = inf under the zero-interference rule of :func:`~pops.sinr.power_ratio`.
+    The range, and the singular test at snr = inf, are relative to the largest
+    eigenvalue of A + B over all blocks, which interlacing reads off the
+    useful ones (:func:`_range_reference`).
 
     Raises
     ------
@@ -256,13 +305,19 @@ def upper_bound(sys: KroneckerSystem, snr: float = math.inf) -> float:
     """
     if not snr > 0.0:
         raise ValueError(f"snr must be positive, got {snr}")
+    # A PSD Toeplitz block with a zero diagonal is zero: it adds nothing.
+    useful = np.flatnonzero(sys.a_matrix[:, :1, :1])
+    if not useful.size:
+        return 0.0
+    a_matrix, b_matrix = sys.a_matrix[useful], sys.b_matrix[useful]
     # Directions outside range(A + B) carry neither useful nor interference
     # power (both forms are PSD, so null quadratic form means null vector);
     # they never help the quotient and would fake a singular B on windows
     # larger than the channel's reach or on a block's zero padding.  Work on
     # range(A + B); the threshold is relative to the largest over all blocks.
-    lam, U = np.linalg.eigh(sys.a_matrix + sys.b_matrix)
-    keep = lam > _RANGE_RTOL * lam.max(initial=0.0)
+    lam, U = np.linalg.eigh(a_matrix + b_matrix)
+    reference = _range_reference(sys, useful, lam[:, -1])
+    keep = lam > _RANGE_RTOL * reference
     if not keep.any():
         return 0.0
     # In the eigenbasis of A + B, T is diagonal: whiten by it, 0 off the range.
@@ -270,7 +325,7 @@ def upper_bound(sys: KroneckerSystem, snr: float = math.inf) -> float:
     # scaled in place and dropped as soon as it has been read.
     scale = np.where(keep, lam + 1.0 / snr, np.inf) ** -0.5
     u_h = U.conj().swapaxes(1, 2)  # a view when the blocks are real
-    white = u_h @ sys.a_matrix @ U
+    white = u_h @ a_matrix @ U
     white *= scale[..., None]
     white *= scale[:, None, :]
     top, Y = np.linalg.eigh(white)
@@ -278,13 +333,13 @@ def upper_bound(sys: KroneckerSystem, snr: float = math.inf) -> float:
     block = int(np.argmax(top[:, -1]))
     chi = U[block] @ (scale[block] * Y[block, :, -1])
     del Y
-    ps = float(np.real(np.vdot(chi, sys.a_matrix[block] @ chi)))
-    pi = float(np.real(np.vdot(chi, sys.b_matrix[block] @ chi) + np.vdot(chi, chi) / snr))
+    ps = float(np.real(np.vdot(chi, a_matrix[block] @ chi)))
+    pi = float(np.real(np.vdot(chi, b_matrix[block] @ chi) + np.vdot(chi, chi) / snr))
     if math.isfinite(snr):
         return max(ps, 0.0) / pi  # pi >= ||chi||^2/snr > 0
     # Whitening amplifies rounding and can hide a singular B: read B's spectrum on
     # the range too, each dropped direction decoupled at a Rayleigh quotient of it.
-    sub = u_h @ sys.b_matrix @ U
+    sub = u_h @ b_matrix @ U
     del u_h, U
     pad = np.where(keep, 0.0, sub[int(np.argmax(lam[:, -1])), -1, -1].real)
     sub[~(keep[:, :, None] & keep[:, None, :])] = 0.0
@@ -292,7 +347,7 @@ def upper_bound(sys: KroneckerSystem, snr: float = math.inf) -> float:
     sub[:, diag, diag] += pad
     eigs = np.linalg.eigvalsh(sub)
     value = power_ratio(ps, pi)
-    if math.isinf(value) or eigs.min() <= _RANGE_RTOL * eigs.max():
+    if math.isinf(value) or eigs.min() <= _RANGE_RTOL * reference:
         raise SingularInterferenceError(
             "interference operator is singular at snr = inf (some chi has "
             "zero interference, the SIR bound is infinite); pass a finite "

@@ -85,6 +85,7 @@ _LAYOUTS = 64
 # Appended to the pulse: the sample that every fold index off the pulse reads.
 _ZERO = np.zeros(1, dtype=np.complex128)
 _ZERO.flags.writeable = False
+_COMPLEX = np.dtype(np.complex128)
 
 
 @dataclass(frozen=True)
@@ -105,19 +106,20 @@ class KernelMatrix:
     factor: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("data", "factor"):
-            arr = getattr(self, name)
-            if arr is None or (isinstance(arr, np.ndarray) and arr.dtype == np.complex128
-                               and not arr.flags.writeable):
-                continue  # a read-only complex array is kept as it is, not copied
-            arr = np.array(arr, dtype=np.complex128)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        if self.factor is None and self.data.ndim != 2:
-            raise ValueError(f"a KS factor is L x r, got shape {self.data.shape}")
-        if self.factor is not None and self.data.shape[1:] != (-(-self.L // len(self.data)),) * 2:
-            raise ValueError(f"comb blocks {self.data.shape} do not tile L={self.L}")
-        object.__setattr__(self, "window_start", int(self.window_start))
+        data, factor = _read_only_complex(self.data), self.factor
+        if factor is None:
+            if data.ndim != 2:
+                raise ValueError(f"a KS factor is L x r, got shape {data.shape}")
+        else:
+            factor = _read_only_complex(factor)
+            if data.shape[1:] != (-(-len(factor) // len(data)),) * 2:
+                raise ValueError(f"comb blocks {data.shape} do not tile L={len(factor)}")
+            if factor is not self.factor:
+                object.__setattr__(self, "factor", factor)
+        if data is not self.data:
+            object.__setattr__(self, "data", data)
+        if type(self.window_start) is not int:
+            object.__setattr__(self, "window_start", int(self.window_start))
 
     @property
     def L(self) -> int:
@@ -140,6 +142,15 @@ class KernelMatrix:
     def quad(self, w: Waveform) -> float:
         """Real quadratic form x^H K x with x = w restricted to the window."""
         return float(self.forms(w.dense(self.window_start, self.L)[:, None])[1][0])
+
+
+def _read_only_complex(arr) -> np.ndarray:
+    """arr itself if it is a read-only complex128 array, else a frozen complex128 copy."""
+    if isinstance(arr, np.ndarray) and arr.dtype == _COMPLEX and not arr.flags.writeable:
+        return arr
+    arr = np.array(arr, dtype=np.complex128)
+    arr.flags.writeable = False
+    return arr
 
 
 def to_comb(x: np.ndarray, Q: int) -> np.ndarray:

@@ -132,9 +132,20 @@ def required_symbol_span(
     return min(n_lo, 0), max(n_hi, 0)
 
 
+def _standard_complex(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """``x + 1j y`` of two standard normal draws, x first, written in place:
+    no complex temporaries, and the same bits as the sum."""
+    z = np.empty(shape, dtype=np.complex128)
+    z.real = rng.standard_normal(shape)
+    z.imag = rng.standard_normal(shape)
+    return z
+
+
 def _draw_symbols(rng: np.random.Generator, shape: tuple[int, ...], alphabet: str) -> np.ndarray:
     if alphabet == "gaussian":
-        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+        z = _standard_complex(rng, shape)
+        z /= math.sqrt(2.0)
+        return z
     bits = rng.integers(0, 2, size=shape + (2,)) * 2 - 1
     return (bits[..., 0] + 1j * bits[..., 1]) / math.sqrt(2.0)
 
@@ -219,8 +230,7 @@ def estimate_sinr(
         remaining -= chunk
 
         a = _draw_symbols(rng, (chunk, slots.size, Q), mc.alphabet)
-        h = (rng.standard_normal((chunk, powers.size))
-             + 1j * rng.standard_normal((chunk, powers.size)))
+        h = _standard_complex(rng, (chunk, powers.size))
         h *= np.sqrt(powers / 2.0)
 
         per_path = a.reshape(chunk, -1) @ B
@@ -229,9 +239,8 @@ def estimate_sinr(
         u_parts.append(np.abs(lam_use) ** 2)
         i_parts.append(np.abs(per_path.sum(axis=1)) ** 2)
         if noise_var > 0.0:
-            noise = (
-                rng.standard_normal((chunk, l_rx)) + 1j * rng.standard_normal((chunk, l_rx))
-            ) * math.sqrt(noise_var / 2.0)
+            noise = _standard_complex(rng, (chunk, l_rx))
+            noise *= math.sqrt(noise_var / 2.0)
             n_parts.append(np.abs(noise @ psi_c) ** 2)
 
     u = np.concatenate(u_parts)

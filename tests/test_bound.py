@@ -1,6 +1,8 @@
 """Joint-pair relaxation: quotient identity, upper bound, singularity handling."""
 
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from pops import (
     SingularInterferenceError,
     build_kronecker_system,
     kronecker_quotient,
+    load_scenario,
     make_conventional_rx,
     make_conventional_tx,
     make_hermite_init,
@@ -166,6 +169,8 @@ class TestSystemStructure:
         sys_ = build_kronecker_system(cfg, ch)
         assert sys_.dimension == 78720
         assert sys_.a_matrix.shape == sys_.b_matrix.shape == (38, 160, 160)
+        # A is nonzero only on the 8 lags of a path delay.
+        assert np.count_nonzero(sys_.a_matrix[:, 0, 0]) == 8
 
     def test_window_argument_validation(self):
         cfg = LatticeConfig(N=8, Q=6)
@@ -311,7 +316,59 @@ class TestUpperBound:
         with pytest.raises(SingularInterferenceError):
             upper_bound(build_kronecker_system(cfg, ch))
 
+    @pytest.mark.parametrize("n, q, bd, windows, singular", [
+        (11, 4, 0.0250284337647191, (-6, 12, 1, 13), False),
+        (9, 3, 0.013952229426669033, (-5, 17, 5, 14), True),
+    ], ids=["finite", "singular"])
+    def test_a_zero_block_sets_the_reference(self, n, q, bd, windows, singular):
+        # An A = 0 block, longer than the useful block of its residue mod N, holds
+        # the largest eigenvalue of A + B, which scales the range and the singular
+        # test.  Measured against the useful blocks alone, the second system's
+        # SIR bound would read about 2.4e11.
+        cfg = LatticeConfig(N=n, Q=q)
+        ch = SeparableChannel(K=2, b=0.5, delays=[0, 1], Bd=bd)
+        phi_offset, phi_length, psi_offset, psi_length = windows
+        sys_ = build_kronecker_system(cfg, ch, phi_offset=phi_offset, phi_length=phi_length,
+                                      psi_offset=psi_offset, psi_length=psi_length)
+        useful = sys_.a_matrix[:, 0, 0] != 0
+        top = np.linalg.eigvalsh(sys_.a_matrix + sys_.b_matrix)[:, -1]
+        assert top[~useful].max() > 1.4 * top[useful].max()
+        a = scipy.linalg.block_diag(*sys_.a_matrix)
+        b = scipy.linalg.block_diag(*sys_.b_matrix)
+        if singular:
+            with pytest.raises(SingularInterferenceError):
+                upper_bound(sys_)
+        for snr in (10.0,) if singular else (math.inf, 10.0):
+            assert upper_bound(sys_, snr) == pytest.approx(dense_upper_bound(a, b, snr), rel=1e-10)
+
     def test_bound_error_names_the_remedy(self):
         sys_ = build_kronecker_system(self.cfg, PathList.ideal())
         with pytest.raises(SingularInterferenceError, match="snr"):
             upper_bound(sys_)
+
+
+class TestPaperScale:
+    """`full_scale.ini`: 38 lag blocks, of which the 8 at a path delay are solved."""
+
+    @classmethod
+    def setup_class(cls):
+        sc = load_scenario(Path(__file__).resolve().parent.parent / "demos" / "scenarios"
+                           / "full_scale.ini")
+        cls.sys = build_kronecker_system(sc.lattice(), sc.channel())
+
+    @pytest.mark.parametrize("snr, want", [
+        (math.inf, 688.9375943603776), (10.0, 354.51977477333844), (100.0, 629.5382945057015),
+    ])
+    def test_equals_the_bound_over_every_block(self, snr, want):
+        # The values of a solve of all 38 blocks.
+        assert upper_bound(self.sys, snr) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_solve_stays_small(self):
+        # Solving every block peaked at 23.5 MB; the 8 useful ones take about 8 MB.
+        tracemalloc.start()
+        try:
+            upper_bound(self.sys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6

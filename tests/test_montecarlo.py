@@ -251,7 +251,7 @@ class TestAgainstTimeDomain:
     @pytest.mark.parametrize("alphabet,snr", [("gaussian", 10.0), ("qpsk", math.inf)])
     @pytest.mark.parametrize("kind", ["paths", "6 nodes", "17 nodes"])
     @pytest.mark.parametrize("D", [1, 2, 3])
-    def test_equals_time_domain_oracle(self, D, kind, alphabet, snr):
+    def test_equals_time_domain_oracle(self, D, kind, alphabet, snr, monkeypatch):
         cfg = LatticeConfig(N=20, Q=16, Dphi=D, Dpsi=D)
         rng = np.random.default_rng(100 * D + len(kind))
         tx = random_waveform(rng, cfg.L_phi, offset=-3)
@@ -267,6 +267,14 @@ class TestAgainstTimeDomain:
         for field in ("ps", "pi", "pn", "sinr", "se"):
             want_value = pytest.approx(getattr(want, field), rel=1e-12, abs=0.0)
             assert getattr(got, field) == want_value, field
+        # Symbols, gains and noise written in place as z.real, z.imag carry the
+        # bits of x + 1j * y, so the estimate is the same to the last bit.
+        monkeypatch.setattr(montecarlo, "_standard_complex",
+                            lambda rng, shape: rng.standard_normal(shape)
+                            + 1j * rng.standard_normal(shape))
+        summed = estimate_sinr(tx, rx, ch, cfg, snr, mc)
+        for field in ("ps", "pi", "pn", "sinr", "se"):
+            assert getattr(got, field) == getattr(summed, field), field
 
     def test_response_matrix_equals_atom_sum(self):
         cfg = LatticeConfig(N=20, Q=16, Dphi=2, Dpsi=2)
