@@ -27,17 +27,20 @@ largest top eigenvalue of the per-lag problems, each of size at most
 
 A is zero on every lag that is not a path delay's, and such a block adds 0
 to the bound, so only the useful blocks (A != 0) are built and solved: 8 of
-the 38 of ``demos/scenarios/full_scale.ini``.  The others still set the
-scale of the range threshold, the largest eigenvalue of A + B over all
-blocks.  A + B has one symbol per residue of the lag mod N, so each block is
-a leading section of its residue's longest, whose top eigenvalue bounds the
-rest (Cauchy interlacing); with the default windows that block is the
-useful one.
+the 38 of ``demos/scenarios/full_scale.ini``.  The system itself holds only
+the symbols, one row per lag, and no dense block.  Every block still sets
+the scale of the range threshold, the largest eigenvalue of A + B over all
+blocks.  The symbol of A + B is zero off ``d = 0 mod Q``, so a block of size
+``s`` splits into Q comb sub-blocks, each a leading section of the
+``ceil(s/Q)``-square Toeplitz matrix of the symbol at ``d = 0, Q, 2Q, ...``:
+the scale is the largest eigenvalue of those small matrices (2x2 at full
+scale), one batched ``eigvalsh`` for every lag.
 
 The construction is pinned down by the identity
 ``kronecker_quotient(sys, tx, rx) == sir(tx, rx)`` for every pair embedded in
 the system's windows; ``tests/test_bound.py`` checks it against the kernel
-engine, and the blocks against a dense assembly of A and B.
+engine, and the blocks (assembled on read) against a dense assembly of A
+and B.
 """
 
 from __future__ import annotations
@@ -74,14 +77,19 @@ class KroneckerSystem:
 
     Attributes
     ----------
-    a_matrix, b_matrix : ndarray, shape (len(lags), m, m)
-        Diagonal blocks of the Hermitian PSD operators A and B, zero-padded
-        to size m; ``chi^H A chi`` is the useful power and ``chi^H B chi`` the
-        interference power of the pair ``chi = phi (x) conj(psi)`` (up to the
-        common energy factor, which cancels in every quotient).
+    a_symbol, b_symbol : ndarray, shape (len(lags), m)
+        Symbols of the lag blocks of the Hermitian PSD operators A and B:
+        entry ``(r, r')`` of block ``t`` is ``symbol[t, r - r']`` for
+        ``r >= r'`` (its conjugate above the diagonal), for ``r, r'`` below
+        the block's size (``sizes``; m is the largest).  ``chi^H A chi`` is
+        the useful power and ``chi^H B chi`` the interference power of the
+        pair ``chi = phi (x) conj(psi)`` (up to the common energy factor,
+        which cancels in every quotient).
     lags : ndarray of int
         Window-local lag ``j - i`` of each block (lags without a pairing,
         all zeros in A and B, are left out).
+    Q : int
+        The lattice's subcarrier count: A + B is zero off ``d = 0 mod Q``.
     phi_offset, phi_length : int
         Transmit-side window: global sample indices
         ``[phi_offset, phi_offset + phi_length)``.
@@ -89,25 +97,42 @@ class KroneckerSystem:
         Receive-side window, same convention.
     """
 
-    a_matrix: np.ndarray
-    b_matrix: np.ndarray
+    a_symbol: np.ndarray
+    b_symbol: np.ndarray
     lags: np.ndarray
+    Q: int
     phi_offset: int
     phi_length: int
     psi_offset: int
     psi_length: int
 
     def __post_init__(self) -> None:
-        m = int(_lag_rows(self.lags, self.phi_length, self.psi_length)[1].max(initial=0))
-        if not self.a_matrix.shape == self.b_matrix.shape == (self.lags.size, m, m):
-            raise ValueError(f"blocks must be {self.lags.size}x{m}x{m}, got "
-                             f"{self.a_matrix.shape} and {self.b_matrix.shape}")
-        for arr in (self.a_matrix, self.b_matrix, self.lags):
+        m = int(self.sizes.max(initial=0))
+        if not self.a_symbol.shape == self.b_symbol.shape == (self.lags.size, m):
+            raise ValueError(f"symbols must be {self.lags.size}x{m}, got "
+                             f"{self.a_symbol.shape} and {self.b_symbol.shape}")
+        for arr in (self.a_symbol, self.b_symbol, self.lags):
             arr.flags.writeable = False
 
     @property
     def dimension(self) -> int:
         return self.phi_length * self.psi_length
+
+    @property
+    def sizes(self) -> np.ndarray:
+        """Size of each lag block: the number of pairs ``(i, i + lag)`` in both windows."""
+        return _lag_rows(self.lags, self.phi_length, self.psi_length)[1]
+
+    @property
+    def a_matrix(self) -> np.ndarray:
+        """A's blocks as a dense (len(lags), m, m) stack zero-padded to m: a new
+        array assembled on each read from the symbols; the bound never reads it."""
+        return _toeplitz_blocks(self.a_symbol, self.sizes)
+
+    @property
+    def b_matrix(self) -> np.ndarray:
+        """B's blocks, assembled on each read like :attr:`a_matrix`."""
+        return _toeplitz_blocks(self.b_symbol, self.sizes)
 
 
 def _lag_rows(lags: np.ndarray, l_phi: int, l_psi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -135,7 +160,7 @@ def _toeplitz_blocks(symbol: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     ``r >= s``), zero in the rows and columns at or past ``sizes[t]``."""
     r = np.arange(symbol.shape[1])
     diff = r[:, None] - r[None, :]
-    blocks = symbol[:, np.abs(diff)]
+    blocks = np.take(symbol, np.abs(diff), axis=1)  # C order, as BLAS reads it
     if np.iscomplexobj(blocks):
         blocks[:, diff < 0] = blocks[:, diff < 0].conj()
     inside = r < sizes[:, None]
@@ -152,7 +177,7 @@ def build_kronecker_system(
     psi_offset: int | None = None,
     psi_length: int | None = None,
 ) -> KroneckerSystem:
-    """Assemble the lag blocks of A and B for the given lattice, channel and windows.
+    """The lag symbols of A and B for the given lattice, channel and windows.
 
     Parameters
     ----------
@@ -204,21 +229,9 @@ def build_kronecker_system(
     a_symbol = own @ rho
     comb = np.where(d % cfg.Q == 0, float(cfg.Q), 0.0)
     b_symbol = comb * (folded.astype(np.float64) @ rho) - a_symbol
-    # A's block is zero at every lag that is not a delay's (a_symbol[t, 0] is the
-    # power at that delay): only the useful blocks are written, so the pages of
-    # the others are never touched.
-    useful = a_symbol[:, :1].any(axis=1)
-    a_matrix = np.zeros((lags.size, d.size, d.size), dtype=a_symbol.dtype)
-    a_matrix[useful] = _toeplitz_blocks(a_symbol[useful], sizes[useful])
-    return KroneckerSystem(
-        a_matrix=a_matrix,
-        b_matrix=_toeplitz_blocks(b_symbol, sizes),
-        lags=lags,
-        phi_offset=phi_offset,
-        phi_length=phi_length,
-        psi_offset=psi_offset,
-        psi_length=psi_length,
-    )
+    return KroneckerSystem(a_symbol=a_symbol, b_symbol=b_symbol, lags=lags, Q=cfg.Q,
+                           phi_offset=phi_offset, phi_length=phi_length,
+                           psi_offset=psi_offset, psi_length=psi_length)
 
 
 def _embed(w: Waveform, offset: int, length: int, side: str) -> np.ndarray:
@@ -239,42 +252,37 @@ def kronecker_quotient(sys: KroneckerSystem, tx: Waveform, rx: Waveform) -> floa
     """
     phi = _embed(tx, sys.phi_offset, sys.phi_length, "transmit")
     psi = _embed(rx, sys.psi_offset, sys.psi_length, "receive")
+    if not sys.lags.size:  # no pairing reaches the windows: 0/0 reads 0
+        return 0.0
     first, sizes = _lag_rows(sys.lags, sys.phi_length, sys.psi_length)
-    r = np.arange(sys.a_matrix.shape[1])
+    m = sys.a_symbol.shape[1]
+    r = np.arange(m)
     i = first[:, None] + r
     inside = r < sizes[:, None]
     chi = np.zeros(inside.shape, dtype=np.complex128)
     chi[inside] = phi[i[inside]] * psi[(i + sys.lags[:, None])[inside]].conj()
-    ps = float(np.real(np.vdot(chi, (sys.a_matrix @ chi[..., None])[..., 0])))
-    pi = float(np.real(np.vdot(chi, (sys.b_matrix @ chi[..., None])[..., 0])))
+    # Each block's form is Re[S(0) c(0) + 2 sum_{d>0} S(d) c(d)] for its symbol S and
+    # chi's lag autocorrelation c(d) = sum_r chi[r] conj(chi[r + d]), read off FFTs
+    # of length 2m, past every wrap-around.
+    corr = np.fft.rfft(np.abs(np.fft.fft(chi, 2 * m)) ** 2)[:, :m] / (2 * m)
+    corr[:, 1:] *= 2.0
+    ps = float(np.sum((sys.a_symbol * corr).real))
+    pi = float(np.sum((sys.b_symbol * corr).real))
     return power_ratio(ps, pi)
 
 
-def _range_reference(sys: KroneckerSystem, useful: np.ndarray, top: np.ndarray) -> float:
-    """Largest eigenvalue of A + B over all blocks, given ``top``, those of the useful ones.
+def _range_scale(sys: KroneckerSystem) -> float:
+    """Largest eigenvalue of A + B over all lag blocks, read off the comb.
 
-    A + B has the symbol ``Q [d = 0 mod Q]`` times the sum over every delay
-    that folds onto the block's lag, one symbol per residue of the lag mod N.
-    A block whose symbol agrees with a longer block's on its own length is a
-    leading section of it, so by Cauchy interlacing its top eigenvalue is at
-    most the longer one's.  With the default windows every useful block is
-    the longest of its residue and covers the rest; a block that no useful
-    block covers (explicit windows) is solved, where A = 0 and A + B = B.
+    The symbol of A + B is ``Q [d = 0 mod Q]`` times the sum over every delay
+    that folds onto the block's lag.  So a block of size s, ordered by its row
+    index mod Q, is block diagonal, and its Q diagonal blocks are leading
+    sections of the ``ceil(s/Q)``-square Toeplitz matrix of the symbol at
+    ``d = 0, Q, 2Q, ...``, the one of row residue 0 itself: that matrix holds
+    the block's largest eigenvalue.
     """
-    other = np.ones(sys.lags.size, dtype=bool)
-    other[useful] = False
-    # Row 0 of a Hermitian Toeplitz block is its conjugated symbol, zero past its size.
-    rows = sys.b_matrix[:, 0, :].copy()
-    rows[useful] += sys.a_matrix[useful, 0, :]
-    _, sizes = _lag_rows(sys.lags, sys.phi_length, sys.psi_length)
-    inside = np.arange(rows.shape[1]) < sizes[other, None]
-    gap = np.abs(rows[other][:, None, :] - rows[useful]).max(axis=2, where=inside[:, None, :],
-                                                             initial=0.0)
-    covered = (gap <= _RANGE_RTOL * np.abs(rows).max()) & (sizes[useful] >= sizes[other, None])
-    rest = np.flatnonzero(other)[~covered.any(axis=1)]
-    if rest.size:
-        return max(top.max(), np.linalg.eigvalsh(sys.b_matrix[rest])[:, -1].max())
-    return top.max()
+    comb = (sys.a_symbol + sys.b_symbol)[:, ::sys.Q]
+    return float(np.linalg.eigvalsh(_toeplitz_blocks(comb, -(-sys.sizes // sys.Q)))[:, -1].max())
 
 
 def upper_bound(sys: KroneckerSystem, snr: float = math.inf) -> float:
@@ -294,8 +302,9 @@ def upper_bound(sys: KroneckerSystem, snr: float = math.inf) -> float:
     maximizing ``chi``, and the bound is that vector's quotient, read at
     snr = inf under the zero-interference rule of :func:`~pops.sinr.power_ratio`.
     The range, and the singular test at snr = inf, are relative to the largest
-    eigenvalue of A + B over all blocks, which interlacing reads off the
-    useful ones (:func:`_range_reference`).
+    eigenvalue of A + B over all blocks, read exactly off its comb
+    (:func:`_range_scale`).  The dense blocks are built from the symbols for
+    the useful lags only.
 
     Raises
     ------
@@ -306,23 +315,25 @@ def upper_bound(sys: KroneckerSystem, snr: float = math.inf) -> float:
     if not snr > 0.0:
         raise ValueError(f"snr must be positive, got {snr}")
     # A PSD Toeplitz block with a zero diagonal is zero: it adds nothing.
-    useful = np.flatnonzero(sys.a_matrix[:, :1, :1])
+    useful = np.flatnonzero(sys.a_symbol[:, :1])
     if not useful.size:
         return 0.0
-    a_matrix, b_matrix = sys.a_matrix[useful], sys.b_matrix[useful]
+    sizes = sys.sizes[useful]
+    a_matrix = _toeplitz_blocks(sys.a_symbol[useful], sizes)
+    b_matrix = _toeplitz_blocks(sys.b_symbol[useful], sizes)
     # Directions outside range(A + B) carry neither useful nor interference
     # power (both forms are PSD, so null quadratic form means null vector);
     # they never help the quotient and would fake a singular B on windows
     # larger than the channel's reach or on a block's zero padding.  Work on
     # range(A + B); the threshold is relative to the largest over all blocks.
     lam, U = np.linalg.eigh(a_matrix + b_matrix)
-    reference = _range_reference(sys, useful, lam[:, -1])
+    reference = _range_scale(sys)
     keep = lam > _RANGE_RTOL * reference
     if not keep.any():
         return 0.0
     # In the eigenbasis of A + B, T is diagonal: whiten by it, 0 off the range.
-    # Each block stack is as large as the system, so each is built once,
-    # scaled in place and dropped as soon as it has been read.
+    # Each block stack is built once, scaled in place and dropped as soon as it
+    # has been read.
     scale = np.where(keep, lam + 1.0 / snr, np.inf) ** -0.5
     u_h = U.conj().swapaxes(1, 2)  # a view when the blocks are real
     white = u_h @ a_matrix @ U

@@ -71,10 +71,16 @@ class McConfig:
     rng_seed : int
         Nonnegative seed for the reproducible generator tree.
     chunk_size : int
-        Trials are vectorized in chunks of this size to bound memory: one
-        chunk holds chunk*S*Q complex symbols (S slots reaching the window),
-        chunk*P path gains and as many per-path sums (P paths), plus chunk*L
-        noise samples (L = len(rx)) when snr is finite.
+        Trials are vectorized in chunks of this size: one chunk holds
+        chunk*S*Q complex symbols (S slots reaching the window), chunk*P path
+        gains and as many per-path sums (P paths), plus chunk*L noise samples
+        (L = len(rx)) when snr is finite.  It is not only a memory bound: each
+        chunk draws from its own seed spawned from ``rng_seed``, so the draws,
+        and the estimate, change with it.  The N=20/Q=16 CP pair of
+        ``demos/scenarios/small.ini`` at snr=10 with 3000 trials estimates
+        8.070 at chunk_size 8192 and 7.624 at 1000 (analytic 7.815, standard
+        error about 0.3); an estimate is reproduced by the same ``rng_seed``
+        and ``chunk_size``.
     """
 
     trials: int

@@ -1,5 +1,6 @@
 """Joint-pair relaxation: quotient identity, upper bound, singularity handling."""
 
+import itertools
 import math
 import tracemalloc
 from pathlib import Path
@@ -27,10 +28,12 @@ from pops import (
     make_conventional_rx,
     make_conventional_tx,
     make_hermite_init,
+    power_ratio,
     run_pops,
     sinr,
     upper_bound,
 )
+from pops.bound import _range_scale
 
 
 def _system_for(cfg, ch, tx, rx):
@@ -94,6 +97,27 @@ class TestQuotientIdentity:
         ideal = PathList.ideal()
         assert sinr(tx, rx, ideal, cfg, math.inf).sir == math.inf
         assert kronecker_quotient(_system_for(cfg, ideal, tx, rx), tx, rx) == math.inf
+
+    def test_equals_dense_forms(self):
+        # The symbol form against chi^H A chi / chi^H B chi of the dense assembly:
+        # explicit windows give blocks of several sizes, and an asymmetric path
+        # list gives complex symbols, whose conjugation the form must respect.
+        rng = np.random.default_rng(106)
+        for trial in range(20):
+            n = int(rng.integers(6, 12))
+            cfg = LatticeConfig(N=n, Q=int(rng.integers(3, n + 1)))
+            ch = random_pathlist(rng, max_delay=int(rng.integers(1, n)), k=3, nu_scale=0.05)
+            windows = (int(rng.integers(-6, 1)), int(rng.integers(4, 12)),
+                       int(rng.integers(-4, 4)), int(rng.integers(4, 12)))
+            sys_ = build_kronecker_system(cfg, ch, phi_offset=windows[0], phi_length=windows[1],
+                                          psi_offset=windows[2], psi_length=windows[3])
+            assert np.iscomplexobj(sys_.a_symbol) and np.unique(sys_.sizes).size > 1, trial
+            a, b = dense_kronecker_forms(cfg, ch, *windows)
+            tx = random_waveform(rng, windows[1], offset=windows[0])
+            rx = random_waveform(rng, windows[3], offset=windows[2])
+            chi = np.kron(tx.samples, rx.samples.conj())
+            want = power_ratio(np.vdot(chi, a @ chi).real, np.vdot(chi, b @ chi).real)
+            assert kronecker_quotient(sys_, tx, rx) == pytest.approx(want, rel=1e-10), trial
 
     def test_quotient_scale_invariant(self):
         rng = np.random.default_rng(102)
@@ -230,6 +254,40 @@ class TestLagBlocks:
                                                             rel=1e-10)
 
 
+class TestRangeScale:
+    """The range threshold's scale, read off the comb, against every dense block."""
+
+    def test_equals_largest_block_eigenvalue(self):
+        rng = np.random.default_rng(141)
+        systems = other = 0
+        for k in itertools.count():
+            n = int(rng.integers(6, 20))
+            cfg = LatticeConfig(N=n, Q=int(rng.integers(2, n + 1)))
+            if k % 4 < 2:
+                ch = random_pathlist(rng, max_delay=int(rng.integers(0, n)), k=3, nu_scale=0.05)
+            else:
+                ch = SeparableChannel(K=2, b=0.5, delays=[0, int(rng.integers(1, 4))],
+                                      Bd=float(rng.uniform(0.001, 0.05)))
+            windows = {}
+            if k % 2:
+                windows = dict(phi_offset=int(rng.integers(-8, 2)),
+                               phi_length=int(rng.integers(3, 20)),
+                               psi_offset=int(rng.integers(-8, 6)),
+                               psi_length=int(rng.integers(3, 20)))
+            sys_ = build_kronecker_system(cfg, ch, **windows)
+            if not sys_.lags.size:  # no pairing in these windows: nothing to scale
+                continue
+            top = np.linalg.eigvalsh(sys_.a_matrix + sys_.b_matrix)[:, -1]
+            assert _range_scale(sys_) == pytest.approx(top.max(), rel=1e-13, abs=0.0), k
+            useful = sys_.a_symbol[:, 0] != 0
+            other += bool(top[~useful].max(initial=0.0) > top[useful].max(initial=0.0))
+            systems += 1
+            if systems == 200:
+                break
+        # Some of them hold the largest eigenvalue in a block where A = 0.
+        assert other >= 10
+
+
 class TestUpperBound:
     """The relaxation dominates anything the alternating optimizer reaches."""
 
@@ -354,7 +412,8 @@ class TestPaperScale:
     def setup_class(cls):
         sc = load_scenario(Path(__file__).resolve().parent.parent / "demos" / "scenarios"
                            / "full_scale.ini")
-        cls.sys = build_kronecker_system(sc.lattice(), sc.channel())
+        cls.cfg, cls.ch = sc.lattice(), sc.channel()
+        cls.sys = build_kronecker_system(cls.cfg, cls.ch)
 
     @pytest.mark.parametrize("snr, want", [
         (math.inf, 688.9375943603776), (10.0, 354.51977477333844), (100.0, 629.5382945057015),
@@ -362,6 +421,16 @@ class TestPaperScale:
     def test_equals_the_bound_over_every_block(self, snr, want):
         # The values of a solve of all 38 blocks.
         assert upper_bound(self.sys, snr) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_build_stays_small(self):
+        # The system holds one symbol row per lag, about 0.2 MB here.
+        tracemalloc.start()
+        try:
+            build_kronecker_system(self.cfg, self.ch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
     def test_solve_stays_small(self):
         # Solving every block peaked at 23.5 MB; the 8 useful ones take about 8 MB.
