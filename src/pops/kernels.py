@@ -23,8 +23,9 @@ No L x L product is formed:
 
 * KS = C C^H with the factor C (L x r): per tap, the shifted pulse times the
   phase of each of its G Doppler nodes over sqrt(G) (G = 1 for explicit
-  paths, G = 6-7 Jakes nodes at the paper's spreads), so r = K G, or L via a
-  QR when K G > L (Doppler spreads near the sample rate).
+  paths, G = 6-7 Jakes nodes at the paper's spreads; real columns on a
+  symmetric spectrum, below), so r = K G, or L via a QR when K G > L
+  (Doppler spreads near the sample rate).
 * T = KS + KIN, KIN = KI + ||w||^2/snr I, is zero off the diagonals r = 0
   (mod Q): it is stored as its Q residue blocks T[c, a, b] = T(c + a Q, c + b Q),
   stacked and zero-padded to (Q, m, m) with m = ceil(L / Q).  The noise term is
@@ -37,6 +38,19 @@ No L x L product is formed:
 
   So the m lag products A_l are folded onto N residues, summed over the taps
   there, and read into the blocks; the upper triangle is their conjugate.
+
+Real arithmetic.  When every row of a channel's Doppler nodes is its own
+negative (the Jakes nodes of a separable channel come in exact +- pairs; a
+path without Doppler has the one node 0), every rho_k is real.  The KS
+layout then holds a real phase: each pair +-theta becomes the two columns
+sqrt(2) cos(theta r) and sqrt(2) sin(theta r), a node theta = 0 a column of
+ones, all over sqrt(G), so C stays L x r and C C^H is unchanged; and T's tap
+weights are kept real.  A pulse whose imaginary part is exactly zero is read
+as float64, so on such a channel C and the comb blocks are float64, and so is
+every half-step solved on them (:mod:`pops.optimizer`).  A complex pulse, or a
+path list with any nonzero Doppler (each path is its own tap: +- pairs are
+not grouped), keeps complex128 kernels.  :meth:`KernelMatrix.forms` applies
+float64 kernels to complex receivers through the receivers' float64 view.
 
 For a pulse of n samples and K taps, assembly costs O(L (r + m) + m (n + K N)),
 whatever the number of lattice shifts, a half-step O(L (m^2 + m r + r^2) + r^3),
@@ -58,9 +72,10 @@ channel built anew hits too.  After a hit, KS costs one padded copy of the
 pulse, one gather and the products; T one copy of the pulse, three gathers,
 the lag products and one batched product over the taps.  The indices are
 int32, half the bytes of numpy's default, and read through ``take``.  At
-L = 768 (N=256/Q=128, D=3) with 8 taps and 7 nodes an entry holds about
-111 kB for KS (the node phases, 16 G L bytes, and the index, 4 K L) and
-46 kB for T (the indices, 4 (m ceil(n/N) (N+1) + K (N+1) + Q m^2) bytes).
+L = 768 (N=256/Q=128, D=3) with 8 taps and 7 Jakes nodes an entry holds
+about 68 kB for KS (the real node phases, 8 G L bytes, 16 G L when complex,
+and the index, 4 K L) and 46 kB for T (the indices,
+4 (m ceil(n/N) (N+1) + K (N+1) + Q m^2) bytes).
 
 Kernels come in one orientation, S(p, nu).  The role-swapped S(-p, -nu)
 kernels of w on [s, s+L) are the index-reversed kernels of time_reverse(w) on
@@ -83,9 +98,9 @@ __all__ = ["KernelMatrix", "build_ks", "build_ki", "build_ks_kin", "best_window_
 
 _LAYOUTS = 64
 # Appended to the pulse: the sample that every fold index off the pulse reads.
-_ZERO = np.zeros(1, dtype=np.complex128)
+_ZERO = np.zeros(1)
 _ZERO.flags.writeable = False
-_COMPLEX = np.dtype(np.complex128)
+_KEPT = (np.dtype(np.float64), np.dtype(np.complex128))
 
 
 @dataclass(frozen=True)
@@ -97,8 +112,9 @@ class KernelMatrix:
     blocks (Q, m, m) of T = KS + KIN and ``factor`` the C of that KS, so that
     KIN = T - C C^H.  :meth:`forms` reads the quadratic forms of a stack of
     receivers aligned on the window in one batch; :meth:`quad` is its
-    one-column case.  An array given as read-only complex128 is kept as it is;
-    any other input is copied to one and frozen.
+    one-column case.  The arrays are float64 or complex128: one given read-only
+    in either dtype is kept as it is; any other input is copied, to complex128
+    if it is complex and to float64 if not, and frozen.
     """
 
     data: np.ndarray
@@ -106,12 +122,12 @@ class KernelMatrix:
     factor: np.ndarray | None = None
 
     def __post_init__(self):
-        data, factor = _read_only_complex(self.data), self.factor
+        data, factor = _read_only(self.data), self.factor
         if factor is None:
             if data.ndim != 2:
                 raise ValueError(f"a KS factor is L x r, got shape {data.shape}")
         else:
-            factor = _read_only_complex(factor)
+            factor = _read_only(factor)
             if data.shape[1:] != (-(-len(factor) // len(data)),) * 2:
                 raise ValueError(f"comb blocks {data.shape} do not tile L={len(factor)}")
             if factor is not self.factor:
@@ -130,27 +146,41 @@ class KernelMatrix:
 
         For KS both are the same; for the denominator kernel the second is
         x^H T x - ||C^H x||^2 = x^H KIN x.  One product C^T conj(X) and one
-        batched comb product serve all P columns.
+        batched comb product serve all P columns; a float64 kernel reads a
+        complex X through its float64 view.
         """
         C = self.data if self.factor is None else self.factor
-        ps = np.sum(np.abs(C.T @ X.conj()) ** 2, axis=0)
+        ps = np.sum(np.abs(_product(C.T, X.conj())) ** 2, axis=0)
         if self.factor is None:
             return ps, ps
         xc = to_comb(X, self.data.shape[0])  # (Q, m, P)
-        return ps, np.real(np.sum(xc.conj() * (self.data @ xc), axis=(0, 1))) - ps
+        return ps, np.real(np.sum(xc.conj() * _product(self.data, xc), axis=(0, 1))) - ps
 
     def quad(self, w: Waveform) -> float:
         """Real quadratic form x^H K x with x = w restricted to the window."""
         return float(self.forms(w.dense(self.window_start, self.L)[:, None])[1][0])
 
 
-def _read_only_complex(arr) -> np.ndarray:
-    """arr itself if it is a read-only complex128 array, else a frozen complex128 copy."""
-    if isinstance(arr, np.ndarray) and arr.dtype == _COMPLEX and not arr.flags.writeable:
+def _read_only(arr) -> np.ndarray:
+    """arr itself if it is a read-only float64 or complex128 array, else a frozen
+    copy: complex128 for complex input, float64 for any other."""
+    if isinstance(arr, np.ndarray) and arr.dtype in _KEPT and not arr.flags.writeable:
         return arr
-    arr = np.array(arr, dtype=np.complex128)
+    arr = np.array(arr, dtype=np.complex128 if np.iscomplexobj(arr) else np.float64)
     arr.flags.writeable = False
     return arr
+
+
+def _product(A: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """A @ X; a real A is applied to a complex X through X's float64 view (real
+    and imaginary parts as adjacent columns), so A is never copied to complex."""
+    if A.dtype.kind == "c" or X.dtype.kind != "c":
+        return A @ X
+    try:
+        parts = X.view(np.float64)
+    except ValueError:  # X's last axis is strided
+        parts = np.ascontiguousarray(X).view(np.float64)
+    return (A @ parts).view(np.complex128)
 
 
 def to_comb(x: np.ndarray, Q: int) -> np.ndarray:
@@ -199,7 +229,8 @@ class _UsefulLayout:
     row in the pulse zero-padded by L on both sides (row k starts at the tap's
     start clipped to [0, n + L]: a start outside reads only padding either
     way), the tap amplitudes sqrt(pi_k) as a (K, 1) column, and the node phases
-    exp(j theta r) / sqrt(G), shape (K or 1, G, L)."""
+    exp(j theta r) / sqrt(G), shape (K or 1, G, L), or their real cos/sin
+    pairs on a symmetric spectrum (module docstring)."""
 
     index: np.ndarray
     amp: np.ndarray
@@ -216,9 +247,10 @@ class _TotalLayout:
     pulse read the zero appended to it); the residue (K, P+1) of the folded
     lag products that each tap reads at each window residue, column P
     reading their zero column; the tap weights Q pi_k rho_k(l Q), shape
-    (m, 1, K); and the gather index (Q, m, m) of the comb blocks into the
-    summed products (m, P+1), followed for m > 1 by their conjugates, which
-    the upper triangle reads.  Comb padding reads the zero of column P."""
+    (m, 1, K), float64 on a symmetric spectrum; and the gather index
+    (Q, m, m) of the comb blocks into the summed products (m, P+1), followed
+    for m > 1 by their conjugates, which the upper triangle reads.  Comb
+    padding reads the zero of column P."""
 
     fold: np.ndarray
     residues: np.ndarray
@@ -234,10 +266,25 @@ def _frozen(cls, **fields):
     return cls(**fields)
 
 
+def _symmetric(nodes: np.ndarray) -> bool:
+    """Whether each row of Doppler nodes is its own negative: sorted nodes
+    come in exact +- pairs, so every rho_k(r) is real."""
+    return np.array_equal(nodes, -nodes[:, ::-1])
+
+
 @functools.lru_cache(maxsize=_LAYOUTS)
 def _useful_layout(ch, L: int, s: int, offset: int, n: int) -> _UsefulLayout:
     nodes = ch.doppler_nodes(L)
-    phase = np.exp(1j * nodes[:, :, None] * np.arange(L)) / math.sqrt(nodes.shape[1])
+    G, r = nodes.shape[1], np.arange(L)
+    if _symmetric(nodes):
+        # A node pair +-theta adds 2 cos(theta (p - q)) = 2 (cos cos + sin sin) to
+        # KS(p, q): the real columns sqrt2 cos and sqrt2 sin give the same C C^H.
+        theta = nodes[:, (G + 1) // 2 :, None] * r
+        parts = [np.ones((len(nodes), G % 2, L)), math.sqrt(2) * np.cos(theta),
+                 math.sqrt(2) * np.sin(theta)]
+        phase = np.concatenate(parts, axis=1) / math.sqrt(G)
+    else:
+        phase = np.exp(1j * nodes[:, :, None] * r) / math.sqrt(G)
     starts = np.clip((s - offset + L) - ch.delays, 0, n + L)
     return _frozen(_UsefulLayout, index=(starts[:, None] + np.arange(L)).astype(np.int32),
                    amp=np.sqrt(ch.powers)[:, None], phase=phase)
@@ -257,7 +304,9 @@ def _total_layout(ch, cfg: LatticeConfig, L: int, s: int, offset: int, n: int) -
     # Window residue t of tap k reads the products at pulse residue t + s - offset - d_k.
     t = np.arange(P + 1)
     residues = np.where(t < P, (t + (s - offset) - ch.delays[:, None]) % N, N)
-    weight = Q * ch.powers[:, None] * doppler_correlation(ch.doppler_nodes(L), lags)
+    nodes = ch.doppler_nodes(L)
+    rho = doppler_correlation(nodes, lags)
+    weight = Q * ch.powers[:, None] * (rho.real if _symmetric(nodes) else rho)
     # Entry (a, b) of block c is lag |a - b| at window sample c + max(a, b) Q,
     # conjugated above the diagonal.
     a, b = np.arange(m)[:, None], np.arange(m)
@@ -268,10 +317,16 @@ def _total_layout(ch, cfg: LatticeConfig, L: int, s: int, offset: int, n: int) -
                    comb=comb.astype(np.int32))
 
 
-def _padded(w: Waveform, L: int) -> np.ndarray:
-    """The pulse's samples zero-padded by L on both sides, which the KS layout's index reads."""
-    padded = np.zeros(len(w) + 2 * L, dtype=np.complex128)
-    padded[L : L + len(w)] = w.samples
+def _samples(w: Waveform) -> np.ndarray:
+    """The pulse's samples, read as float64 when their imaginary part is exactly zero."""
+    x = w.samples
+    return x if x.imag.any() else x.real
+
+
+def _padded(x: np.ndarray, L: int) -> np.ndarray:
+    """Samples x zero-padded by L on both sides, which the KS layout's index reads."""
+    padded = np.zeros(len(x) + 2 * L, dtype=x.dtype)
+    padded[L : L + len(x)] = x
     return padded
 
 
@@ -285,7 +340,7 @@ def build_ks(w: Waveform, ch, L_out: int, window_start: int | None = None) -> Ke
         raise ValueError(f"L_out must be >= 1, got {L_out}")
     s = best_window_start(w, ch, L_out) if window_start is None else int(window_start)
     lay = _useful_layout(ch, L_out, s, w.offset, len(w))
-    rows = _padded(w, L_out).take(lay.index) * lay.amp
+    rows = _padded(_samples(w), L_out).take(lay.index) * lay.amp
     rows = (rows[:, None, :] * lay.phase).reshape(-1, L_out)
     if len(rows) > L_out:  # more columns than samples: Doppler spreads near the sample rate
         rows = np.linalg.qr(rows, mode="r")  # C^T = Q R gives C C^H = R^T conj(R)
@@ -301,7 +356,7 @@ def _total(w: Waveform, ch, cfg: LatticeConfig, ks: KernelMatrix,
     summed over the taps there, and read into the blocks."""
     L, s = ks.L, ks.window_start
     lay = _total_layout(ch, cfg, L, s, w.offset, len(w))
-    folded = np.concatenate((w.samples, _ZERO)).take(lay.fold)  # (m, ceil(n/N), N+1)
+    folded = np.concatenate((_samples(w), _ZERO)).take(lay.fold)  # (m, ceil(n/N), N+1)
     products = folded.conj()
     products *= folded[0]
     sums = lay.weight @ products.sum(axis=1).take(lay.residues, axis=1)  # (m, 1, P+1)

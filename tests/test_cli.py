@@ -293,6 +293,17 @@ class TestValidate:
         assert run_cli(*self._high_sir("1e-5")) == EXIT_NUMERICAL
         assert "closed-form-vs-kernel: FAIL" in capsys.readouterr().out
 
+    def test_perturbed_time_reversal_fails(self, monkeypatch, capsys):
+        real = cli.sinr_time_reversed
+
+        def perturbed(tx, rx, ch, cfg, snr):
+            rep = real(tx, rx, ch, cfg, snr)
+            return dataclasses.replace(rep, pi=rep.pi + 1e-9 * (rep.ps + rep.pi))
+
+        monkeypatch.setattr(cli, "sinr_time_reversed", perturbed)
+        assert run_cli(*self._high_sir("1e-5")) == EXIT_NUMERICAL
+        assert "time-reversal-identity: FAIL" in capsys.readouterr().out
+
 
 class TestErrorHandling:
     def test_missing_scenario_file(self, tmp_path, capsys):

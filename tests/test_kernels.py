@@ -183,6 +183,7 @@ class TestPeriodicAssembly:
         want = dense_ki(w, ch, cfg, L, s) + (0.0 if math.isinf(snr) else w.energy / snr) * np.eye(L)
         scale = max(np.abs(want).max(), np.abs(expand(ks)).max())
         np.testing.assert_allclose(expand(kin), want, rtol=0, atol=1e-10 * scale)
+        assert kin.data.dtype == np.complex128  # a complex pulse, on any channel
         assert kin.data.shape == (cfg.Q, -(-L // cfg.Q), -(-L // cfg.Q))
         pad = ~to_comb(np.ones(L, dtype=bool), cfg.Q)  # (Q, m), True on the padding
         assert pad.any() == (L % cfg.Q != 0)
@@ -211,6 +212,74 @@ class TestPeriodicAssembly:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+
+def _real_waveform(rng, length, offset):
+    """Unit-energy waveform with real Gaussian samples (imaginary part exactly 0)."""
+    x = rng.standard_normal(length)
+    return Waveform(x / np.linalg.norm(x), offset=offset)
+
+
+class TestRealKernels:
+    """A real pulse on a channel whose Doppler nodes come in exact +- pairs
+    gives float64 kernels (C from cos/sin node pairs, real comb blocks), equal
+    to the dense oracle; any other input keeps complex kernels."""
+
+    @pytest.mark.parametrize("snr", [10.0, math.inf])
+    @pytest.mark.parametrize("name", ["window-past-reach", "padding"])
+    def test_separable_channel_gives_float64_kernels(self, name, snr):
+        cfg, ch, w, L, s = _geometry(name)
+        w = _real_waveform(np.random.default_rng(len(name)), len(w), w.offset)
+        ks, kin = build_ks_kin(w, ch, cfg, L, snr, window_start=s)
+        for arr in (ks.data, kin.data, kin.factor):
+            assert arr.dtype == np.float64
+        scale = np.abs(dense_ks(w, ch, L, s)).max()
+        np.testing.assert_allclose(expand(ks), dense_ks(w, ch, L, s), rtol=0, atol=1e-10 * scale)
+        noise = 0.0 if math.isinf(snr) else w.energy / snr
+        np.testing.assert_allclose(expand(kin), dense_ki(w, ch, cfg, L, s) + noise * np.eye(L),
+                                   rtol=0, atol=1e-10 * scale)
+
+    def test_useful_kernel_of_odd_and_even_node_counts(self):
+        # The oracle geometry of TestUsefulKernelOracle at two spreads: an odd
+        # node count has a theta = 0 node, an even one has none.
+        rng = np.random.default_rng(12)
+        counts = set()
+        for bd in (0.008, 0.05):  # G = 5 and 8
+            ch = SeparableChannel.with_uniform_delays(K=4, b=0.5, max_delay=4, Bd=bd)
+            counts.add(ch.doppler_nodes(10).shape[1] % 2)
+            w = _real_waveform(rng, 12, -3)
+            ks = build_ks(w, ch, 10, window_start=-2)
+            assert ks.data.dtype == np.float64
+            assert rel_err(expand(ks), oracle_ks(w, ch, -2, 10)) < 1e-13
+        assert counts == {0, 1}
+
+    @pytest.mark.parametrize("doppler, dtype", [(False, np.float64), (True, np.complex128)])
+    def test_path_list_dtype_follows_its_doppler(self, doppler, dtype):
+        # Paths without Doppler have the one node 0 (symmetric); any nonzero
+        # Doppler keeps complex kernels, even for a real pulse.
+        rng = np.random.default_rng(24)
+        cfg = small_config(n=10, q=8)
+        ch = random_pathlist(rng, max_delay=4, k=3, complex_doppler=doppler)
+        w = _real_waveform(rng, 12, -4)
+        ks, kin = build_ks_kin(w, ch, cfg, cfg.Q, 10.0, window_start=-2)
+        assert ks.data.dtype == kin.data.dtype == dtype
+        np.testing.assert_allclose(expand(kin), dense_ki(w, ch, cfg, cfg.Q, -2)
+                                   + w.energy / 10.0 * np.eye(cfg.Q), rtol=0, atol=1e-12)
+
+    def test_forms_of_complex_receivers(self):
+        # Real kernels read complex receivers, C-ordered or strided, as the dense product.
+        cfg, ch, w, L, s = _geometry("window-past-reach")
+        w = _real_waveform(np.random.default_rng(26), len(w), w.offset)
+        ks, kin = build_ks_kin(w, ch, cfg, L, 10.0, window_start=s)
+        rng = np.random.default_rng(26)
+        X = rng.standard_normal((L, 3)) + 1j * rng.standard_normal((L, 3))
+        for stack in (X, np.asfortranarray(X)):
+            for k in (ks, kin):
+                ps, form = k.forms(stack)
+                useful = np.real(np.einsum("lp,lk,kp->p", X.conj(), expand(ks), X))
+                np.testing.assert_allclose(ps, useful, rtol=1e-12)
+                want = np.real(np.einsum("lp,lk,kp->p", X.conj(), expand(k), X))
+                np.testing.assert_allclose(form, want, rtol=1e-12)
 
 
 class TestKernelInvariants:
@@ -322,9 +391,20 @@ class TestKernelInvariants:
         np.testing.assert_array_equal(kin.data, want[1])
         ones = np.ones((6, 2))
         ones.flags.writeable = False
-        real = KernelMatrix(ones, 0)  # read-only but real: converted
-        assert real.data.dtype == np.complex128
-        for arr in (ks.data, kin.data, kin.factor, real.data):
+        real = KernelMatrix(ones, 0)  # read-only float64: kept
+        assert real.data is ones
+        # Any other dtype is copied to float64 (real input) or complex128.
+        for arr, dtype in ((np.ones((6, 2), dtype=np.float32), np.float64),
+                           (np.ones((6, 2), dtype=np.int64), np.float64),
+                           (np.ones((6, 2), dtype=np.complex64), np.complex128)):
+            arr.flags.writeable = False
+            copied = KernelMatrix(arr, 0).data
+            assert copied.dtype == dtype and not np.shares_memory(copied, arr)
+            np.testing.assert_array_equal(copied, arr)
+        writable = np.ones((6, 2))
+        copied = KernelMatrix(writable, 0).data
+        assert copied.dtype == np.float64 and not np.shares_memory(copied, writable)
+        for arr in (ks.data, kin.data, kin.factor, real.data, copied):
             assert not arr.flags.writeable
 
 

@@ -14,13 +14,17 @@ from pops import (
     PopsConfig,
     PopsResult,
     SeparableChannel,
+    Waveform,
     half_step,
     load_pops_result,
+    make_conventional_tx,
     run_pops,
     save_pops_result,
     sinr,
 )
+from pops import optimizer
 from pops.kernels import build_ks_kin
+from pops.optimizer import _top_eigenvector
 
 
 class TestHalfStepSolvers:
@@ -124,6 +128,22 @@ class TestHalfStepSolvers:
         assert value == pytest.approx(want, rel=1e-10)
         assert notes == []
 
+    @pytest.mark.parametrize("D", [1, 3, 12])
+    def test_real_pair_is_solved_in_float64(self, D):
+        # The geometry above with a real pulse: float64 kernels, a float64
+        # solve, a real receiver, and the dense oracle's value.
+        cfg = LatticeConfig(N=8, Q=4, Dphi=D, Dpsi=D)
+        ch = SeparableChannel.from_spread_product(cfg, 0.05, bd_over_f=0.05)
+        x = np.random.default_rng(D).standard_normal(cfg.L_phi)
+        w = Waveform(x, offset=-(cfg.L_phi // 2))
+        for snr in (10.0, math.inf):
+            ks, kin = build_ks_kin(w, ch, cfg, cfg.L_psi, snr)
+            assert ks.data.dtype == kin.data.dtype == np.float64
+            rx, value = half_step(ks, kin)
+            assert value == pytest.approx(dense_half_step(expand(ks), expand(kin)), rel=1e-10)
+            assert not rx.samples.imag.any()
+            assert rx.energy == pytest.approx(1.0)
+
     def test_singular_interference_gives_infinite_value(self):
         # KIN of rank 3 with KS positive definite: KS + KIN stays definite and
         # the maximizer lies in null(KIN), an interference-free direction.
@@ -139,6 +159,42 @@ class TestHalfStepSolvers:
         assert value == math.inf
         assert np.real(x.conj() @ B @ x) <= 1e-12 * np.real(x.conj() @ A @ x)
         assert notes == []
+
+
+class TestTopEigenvector:
+    """The LAPACK index-range eigensolver against np.linalg.eigh."""
+
+    @staticmethod
+    def _random(rng, r, dtype):
+        G = rng.standard_normal((r, r))
+        if dtype == np.complex128:
+            G = G + 1j * rng.standard_normal((r, r))
+        return G @ G.conj().T
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("r", [1, 48, 88])
+    def test_matches_eigh(self, r, dtype):
+        A = self._random(np.random.default_rng(r), r, dtype)
+        v = _top_eigenvector(A)
+        assert v.dtype == dtype
+        lam, U = np.linalg.eigh(A)
+        assert abs(np.vdot(U[:, -1], v)) == pytest.approx(1.0, rel=1e-10)
+        assert np.real(np.vdot(v, A @ v)) == pytest.approx(lam[-1], rel=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("r", [48, 88])
+    def test_repeated_top_eigenvalue(self, r, dtype):
+        # Any unit vector of the top eigenspace is a solution: only the
+        # eigenvalue and the residual can be compared.
+        rng = np.random.default_rng(r + 1)
+        U = np.linalg.qr(self._random(rng, r, dtype))[0]
+        lam = np.sort(rng.uniform(0.0, 1.0, r))
+        lam[-3:] = 2.0
+        A = (U * lam) @ U.conj().T
+        v = _top_eigenvector(A)
+        assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-12)
+        assert np.real(np.vdot(v, A @ v)) == pytest.approx(np.linalg.eigh(A)[0][-1], rel=1e-12)
+        assert np.linalg.norm(A @ v - 2.0 * v) <= 1e-12 * r
 
 
 class TestPopsConfig:
@@ -215,6 +271,24 @@ class TestRunPops:
         cfg3 = LatticeConfig(N=10, Q=8, Dphi=3, Dpsi=3)
         long = run_pops(cfg3, self.ch, PopsConfig(snr=10.0, max_iterations=80))
         assert long.final_sinr >= short.final_sinr * (1 - 1e-6)
+
+    @pytest.mark.parametrize("start", ["hermite", "cp"])
+    def test_real_start_stays_real(self, start, monkeypatch):
+        # Jakes nodes come in exact +- pairs, so from a real start every
+        # half-step runs on float64 kernels and returns a real pulse.
+        init = None if start == "hermite" else make_conventional_tx(self.cfg)
+        dtypes = set()
+
+        def recorded(ks, kin, notes=None):
+            dtypes.update((ks.data.dtype, kin.data.dtype, kin.factor.dtype))
+            return solve(ks, kin, notes)
+
+        solve = optimizer.half_step
+        monkeypatch.setattr(optimizer, "half_step", recorded)
+        res = run_pops(self.cfg, self.ch, PopsConfig(snr=math.inf, max_iterations=20, init=init))
+        assert dtypes == {np.dtype(np.float64)}
+        for w in (res.tx_opt, res.rx_opt):
+            assert w.samples.dtype == np.complex128 and not w.samples.imag.any()
 
     def test_singular_interference_is_reported_not_fatal(self):
         # Ideal channel at snr=inf: KS + KIN has rank Q < N; the run must
