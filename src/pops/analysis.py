@@ -28,6 +28,7 @@ import numpy as np
 from .bound import SingularInterferenceError, build_kronecker_system, upper_bound
 from .channel import PathList, SeparableChannel
 from .codec import Channel, decode, encode
+from .kernels import _samples
 from .lattice import LatticeConfig, Waveform, make_conventional_rx, make_conventional_tx
 from .optimizer import PopsConfig, PopsResult, run_pops
 from .sinr import _received, _sinrs, sinr, sinr_conventional
@@ -321,8 +322,9 @@ def _sync_sweep(
             taus = np.array(points, dtype=np.int64)
             lo, hi = int(min(points, default=0)), int(max(points, default=0))
             L = n + hi - lo
-            padded = np.zeros(2 * L - n, dtype=np.complex128)
-            padded[L - n : L] = rx.samples
+            samples = _samples(rx)  # float64 for a real rx, as the kernels read it
+            padded = np.zeros(2 * L - n, dtype=samples.dtype)
+            padded[L - n : L] = samples
             # Column j is rx shifted by taus[j]: row q reads sample q - (taus[j] - lo).
             X = padded.take(np.arange(L - n + lo, 2 * L - n + lo)[:, None] - taus)
             start = rx.offset + lo

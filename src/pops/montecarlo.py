@@ -30,7 +30,9 @@ response matrix
 atom (n, m) sent through path j and correlated with the receiver, built once
 per call, slot by slot (``_response_matrix``).  Per trial the useful part is
 ``a_00 sum_j h_j B[(0, 0), j]``, the interference part the same sum over
-every other atom, and the noise part the correlated noise vector.  Reported
+every other atom, and the noise part the projected noise ``<psi, noise>``,
+which for white noise of variance sigma^2 per sample is CN(0, sigma^2
+||psi||^2) and is drawn as one complex Gaussian per trial.  Reported
 powers are normalized by ``E_phi * E_psi`` so they are directly comparable
 to ``SinrReport`` fields.
 """
@@ -73,12 +75,13 @@ class McConfig:
     chunk_size : int
         Trials are vectorized in chunks of this size: one chunk holds
         chunk*S*Q complex symbols (S slots reaching the window), chunk*P path
-        gains and as many per-path sums (P paths), plus chunk*L noise samples
-        (L = len(rx)) when snr is finite.  It is not only a memory bound: each
-        chunk draws from its own seed spawned from ``rng_seed``, so the draws,
-        and the estimate, change with it.  The N=20/Q=16 CP pair of
+        gains and as many per-path sums (P paths), plus chunk noise draws
+        (one per trial, at the decision variable) when snr is finite.  It is
+        not only a memory bound: each chunk draws from its own seed spawned
+        from ``rng_seed``, so the draws, and the estimate, change with it.
+        The N=20/Q=16 CP pair of
         ``demos/scenarios/small.ini`` at snr=10 with 3000 trials estimates
-        8.070 at chunk_size 8192 and 7.624 at 1000 (analytic 7.815, standard
+        7.901 at chunk_size 8192 and 7.861 at 1000 (analytic 7.815, standard
         error about 0.3); an estimate is reproduced by the same ``rng_seed``
         and ``chunk_size``.
     """
@@ -223,7 +226,6 @@ def estimate_sinr(
     B[slot0 * Q] = 0.0  # every other atom interferes
 
     noise_var = tx.energy / snr if math.isfinite(snr) else 0.0
-    psi_c = rx.samples.conj()
     scale = tx.energy * rx.energy
 
     u_parts, i_parts, n_parts = [], [], []
@@ -245,9 +247,11 @@ def estimate_sinr(
         u_parts.append(np.abs(lam_use) ** 2)
         i_parts.append(np.abs(per_path.sum(axis=1)) ** 2)
         if noise_var > 0.0:
-            noise = _standard_complex(rng, (chunk, l_rx))
-            noise *= math.sqrt(noise_var / 2.0)
-            n_parts.append(np.abs(noise @ psi_c) ** 2)
+            # <psi, noise> of white noise of variance noise_var per sample is
+            # CN(0, noise_var * ||psi||^2): draw it at the decision variable.
+            z = _standard_complex(rng, (chunk,))
+            z *= math.sqrt(noise_var * rx.energy / 2.0)
+            n_parts.append(np.abs(z) ** 2)
 
     u = np.concatenate(u_parts)
     v = np.concatenate(i_parts)

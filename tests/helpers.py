@@ -249,7 +249,8 @@ def time_domain_mc(tx, rx, ch, cfg, snr, mc):
     per trial the transmitted span is synthesized slot by slot (one inverse DFT
     each), every delay's time-varying gain multiplies its delayed copy on the
     receive window, and the interference is what remains of Lambda = <psi, r>
-    once the a_00 term is removed."""
+    once the a_00 term is removed.  The noise enters Lambda as its projection
+    on psi, one complex Gaussian per trial."""
     N, Q = cfg.N, cfg.Q
     l_rx = rx.samples.size
     window = rx.offset + np.arange(l_rx)
@@ -322,10 +323,12 @@ def time_domain_mc(tx, rx, ch, cfg, snr, mc):
         u_parts.append(np.abs(lam_use) ** 2)
         i_parts.append(np.abs(lam_int) ** 2)
         if noise_var > 0.0:
-            noise = (
-                rng.standard_normal((chunk, l_rx)) + 1j * rng.standard_normal((chunk, l_rx))
-            ) * math.sqrt(noise_var / 2.0)
-            n_parts.append(np.abs(noise @ psi_c) ** 2)
+            # White noise of variance noise_var per sample, projected on psi:
+            # CN(0, noise_var ||psi||^2), drawn at the decision variable.
+            lam_noise = (
+                rng.standard_normal(chunk) + 1j * rng.standard_normal(chunk)
+            ) * math.sqrt(noise_var * np.sum(np.abs(psi_c) ** 2) / 2.0)
+            n_parts.append(np.abs(lam_noise) ** 2)
 
     u = np.concatenate(u_parts)
     v = np.concatenate(i_parts)

@@ -441,3 +441,20 @@ class TestPaperScale:
         finally:
             tracemalloc.stop()
         assert peak < 12e6
+
+
+class TestDelayProfileInvariance:
+    """At snr=inf the relaxation does not see the delay profile: taps that
+    share one Doppler spectrum and fold onto distinct lags mod N each give
+    useful lag blocks of one symbol pair times the tap's power, and the power
+    cancels in the quotient.  So the bound is that of one tap with that Doppler."""
+
+    @pytest.mark.parametrize("n, q, spread, taps", [(68, 64, 0.005, 6), (20, 16, 0.01, 3)])
+    def test_equals_the_bound_of_one_tap(self, n, q, spread, taps):
+        cfg = LatticeConfig(N=n, Q=q)
+        ch = SeparableChannel.from_spread_product(cfg, spread)
+        assert ch.K == taps and ch.max_delay < n
+        one = SeparableChannel(K=1, b=0.5, delays=[0], Bd=ch.Bd)
+        want = upper_bound(build_kronecker_system(cfg, one))
+        got = upper_bound(build_kronecker_system(cfg, ch))
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)

@@ -292,3 +292,43 @@ class TestAgainstTimeDomain:
                                           cfg.N, cfg.Q)
             assert B.shape == (slots.size * cfg.Q, ch.delays.size * G)
             assert np.max(np.abs(B - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class TestNoiseAtTheDecisionVariable:
+    """The noise is drawn as its projection on the receiver, one complex
+    Gaussian per trial, with the law of white noise correlated with psi."""
+
+    @pytest.mark.parametrize("snr", [1.0, 10.0])
+    @pytest.mark.parametrize("D", [1, 2, 3])
+    def test_noise_power_is_one_over_snr(self, D, snr):
+        # pn is normalized by E_phi * E_psi, so pn * snr is a mean of Exp(1)
+        # draws whatever the pulses' energies.
+        cfg = LatticeConfig(N=20, Q=16, Dphi=D, Dpsi=D)
+        rng = np.random.default_rng(10 * D + int(snr))
+        tx = random_waveform(rng, cfg.L_phi, offset=-3)
+        rx = random_waveform(rng, cfg.L_psi, offset=5)
+        tx = Waveform(0.6 * tx.samples, offset=tx.offset)
+        rx = Waveform(2.5 * rx.samples, offset=rx.offset)
+        trials = 4000
+        est = estimate_sinr(tx, rx, _grid_channel("6 nodes", D), cfg, snr,
+                            McConfig(trials=trials, rng_seed=D))
+        assert abs(est.pn * snr - 1.0) <= 3.0 / math.sqrt(trials)
+
+    def test_no_draw_spans_the_receive_window(self, monkeypatch):
+        cfg = LatticeConfig(N=20, Q=16, Dphi=2, Dpsi=2)
+        rng = np.random.default_rng(5)
+        tx = random_waveform(rng, cfg.L_phi, offset=-3)
+        rx = random_waveform(rng, cfg.L_psi - 3, offset=5)
+        ch = _grid_channel("paths", 2)
+        assert len(rx) not in (cfg.Q, ch.delays.size)
+        shapes = []
+        draw = montecarlo._standard_complex
+
+        def record(rng, shape):
+            shapes.append(shape)
+            return draw(rng, shape)
+
+        monkeypatch.setattr(montecarlo, "_standard_complex", record)
+        estimate_sinr(tx, rx, ch, cfg, 10.0, McConfig(trials=700, rng_seed=1, chunk_size=300))
+        assert (300,) in shapes and (100,) in shapes  # the noise, one draw per trial
+        assert all(len(rx) not in shape for shape in shapes), shapes
