@@ -1,11 +1,14 @@
 """Cross-validate the analytic SINR against a link-level simulation.
 
 The kernel-based SINR is a closed quadratic form; the Monte-Carlo estimator
-draws random symbols on every lattice atom, random channel realizations and
-noise, and measures the same three powers (useful, interference, noise) at
-the demodulated (0, 0) symbol, summing each atom's response through each
-path.  The two must agree within statistical error -- a strong end-to-end
-check, since they share no code path but the channel's Doppler nodes.
+draws random channel realizations, symbols and noise, and measures the same
+three powers (useful, interference, noise) at the demodulated (0, 0) symbol
+through each lattice atom's response to each path.  With the default
+Gaussian symbols it draws the interference where it lands: given the path
+gains it is one complex Gaussian whose variance sums every interfering
+atom's response.  The two must agree within statistical error -- a strong
+end-to-end check, since they share no code path but the channel's Doppler
+nodes.
 """
 
 import math

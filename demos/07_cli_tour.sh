@@ -42,6 +42,10 @@ echo "== montecarlo: simulated SINR with jackknife standard error"
 pops montecarlo "$SC"
 
 echo
+echo "== montecarlo with QPSK symbols: every atom's symbol drawn and summed"
+pops montecarlo "$SC" --set mc.alphabet=qpsk
+
+echo
 echo "== the same scenario with one key overridden from the command line"
 pops conventional "$SC" --set run.snr=inf
 

@@ -119,12 +119,11 @@ class Waveform:
     offset: int = 0
 
     def __post_init__(self):
-        arr = np.asarray(self.samples, dtype=np.complex128)
+        arr = np.array(self.samples, dtype=np.complex128)  # always a private copy
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("samples must be a nonempty 1-D sequence")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("samples must all be finite")
-        arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
         object.__setattr__(self, "offset", int(self.offset))

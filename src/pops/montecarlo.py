@@ -1,11 +1,10 @@
 """Link-level Monte-Carlo estimator of useful/interference/noise powers.
 
-This module is the package's brute-force referee: it draws random symbols on
-every lattice atom that reaches the receive window, random complex path
-gains and additive receiver noise, and estimates the SINR at the (0, 0)
-decision variable by averaging over trials.  No kernel matrices, no closed
-forms; agreement with ``pops.sinr`` is the strongest end-to-end check the
-package has.
+This module is the package's brute-force referee: it draws random symbols,
+random complex path gains and additive receiver noise, and estimates the
+SINR at the (0, 0) decision variable by averaging over trials.  No kernel
+matrices, no closed forms; agreement with ``pops.sinr`` is the strongest
+end-to-end check the package has.
 
 The channel is read through the interface every evaluator uses: ``delays``,
 ``powers`` and ``doppler_nodes(L)``.  Each (tap, node) pair is one simulated
@@ -28,13 +27,20 @@ response matrix
                    exp(2j pi m (p - d_j) / Q),
 
 atom (n, m) sent through path j and correlated with the receiver, built once
-per call, slot by slot (``_response_matrix``).  Per trial the useful part is
-``a_00 sum_j h_j B[(0, 0), j]``, the interference part the same sum over
-every other atom, and the noise part the projected noise ``<psi, noise>``,
-which for white noise of variance sigma^2 per sample is CN(0, sigma^2
-||psi||^2) and is drawn as one complex Gaussian per trial.  Reported
-powers are normalized by ``E_phi * E_psi`` so they are directly comparable
-to ``SinrReport`` fields.
+per call, slot by slot (``_response_matrix``), over exactly the slots whose
+pulses reach the receive window.  Per trial the useful part is
+``a_00 sum_j h_j B[(0, 0), j]`` and the interference part ``a^T B' h``, the
+same sum over every other atom (B' is B with the detected atom's row
+zeroed).  With QPSK symbols every atom's symbol is drawn and the sum is
+formed.  With Gaussian symbols the interference given h is exactly
+CN(0, ||B' h||^2), so a trial draws a_00 and one more unit complex Gaussian
+and scales it by ``||R h||``, where R is the triangular factor of B' (QR,
+once per call): a trial costs P path gains and a P x P product, not a draw
+per atom.  The noise part is the projected noise ``<psi, noise>``, which for
+white noise of variance sigma^2 per sample is CN(0, sigma^2 ||psi||^2) and
+is drawn as one complex Gaussian per trial.  Each trial's three powers keep
+their exact joint law either way.  Reported powers are normalized by
+``E_phi * E_psi`` so they are directly comparable to ``SinrReport`` fields.
 """
 
 from __future__ import annotations
@@ -60,9 +66,11 @@ class McConfig:
     Attributes
     ----------
     trials : int
-        Number of independent channel/symbol/noise realizations.  Each one
-        draws symbols on all Q subcarriers of exactly the time slots whose
-        pulses reach the receive window (:func:`required_symbol_span`).
+        Number of independent channel/symbol/noise realizations.  With QPSK
+        each one draws symbols on all Q subcarriers of exactly the time
+        slots whose pulses reach the receive window
+        (:func:`required_symbol_span`); with Gaussian symbols it draws the
+        detected symbol and the interference at the decision variable.
     alphabet : str
         "gaussian" for unit-power circular complex Gaussian symbols or
         "qpsk" for unit-modulus QPSK symbols.
@@ -74,16 +82,17 @@ class McConfig:
         Nonnegative seed for the reproducible generator tree.
     chunk_size : int
         Trials are vectorized in chunks of this size: one chunk holds
-        chunk*S*Q complex symbols (S slots reaching the window), chunk*P path
-        gains and as many per-path sums (P paths), plus chunk noise draws
-        (one per trial, at the decision variable) when snr is finite.  It is
-        not only a memory bound: each chunk draws from its own seed spawned
-        from ``rng_seed``, so the draws, and the estimate, change with it.
-        The N=20/Q=16 CP pair of
+        chunk*P path gains and as many per-path sums (P paths), chunk noise
+        draws (one per trial, at the decision variable) when snr is finite,
+        and its symbols: chunk*S*Q for QPSK (S slots reaching the window),
+        only 2*chunk for Gaussian (the detected symbol and the interference).
+        It is not only a memory bound: each chunk draws from its own seed
+        spawned from ``rng_seed``, so the draws, and the estimate, change
+        with it.  The N=20/Q=16 CP pair of
         ``demos/scenarios/small.ini`` at snr=10 with 3000 trials estimates
-        7.901 at chunk_size 8192 and 7.861 at 1000 (analytic 7.815, standard
-        error about 0.3); an estimate is reproduced by the same ``rng_seed``
-        and ``chunk_size``.
+        7.936 at chunk_size 8192 and 7.398 at 1000 (analytic 7.815, standard
+        errors 0.29 and 0.25); an estimate is reproduced by the same
+        ``rng_seed`` and ``chunk_size``.
     """
 
     trials: int
@@ -150,11 +159,7 @@ def _standard_complex(rng: np.random.Generator, shape: tuple[int, ...]) -> np.nd
     return z
 
 
-def _draw_symbols(rng: np.random.Generator, shape: tuple[int, ...], alphabet: str) -> np.ndarray:
-    if alphabet == "gaussian":
-        z = _standard_complex(rng, shape)
-        z /= math.sqrt(2.0)
-        return z
+def _draw_qpsk(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     bits = rng.integers(0, 2, size=shape + (2,)) * 2 - 1
     return (bits[..., 0] + 1j * bits[..., 1]) / math.sqrt(2.0)
 
@@ -224,6 +229,10 @@ def estimate_sinr(
     B = _response_matrix(tx, rx, delays, nodes, slots, N, Q)
     b_use = B[slot0 * Q].copy()
     B[slot0 * Q] = 0.0  # every other atom interferes
+    gaussian = mc.alphabet == "gaussian"
+    if gaussian:
+        # ||B' h|| = ||R h|| for the triangular factor R of B' = QR.
+        r_t = np.linalg.qr(B, mode="r").T
 
     noise_var = tx.energy / snr if math.isfinite(snr) else 0.0
     scale = tx.energy * rx.energy
@@ -237,15 +246,27 @@ def estimate_sinr(
         chunk = min(mc.chunk_size, remaining)
         remaining -= chunk
 
-        a = _draw_symbols(rng, (chunk, slots.size, Q), mc.alphabet)
+        if gaussian:
+            # Per trial a_00 and eps, the unit draw of the interference.
+            a = _standard_complex(rng, (chunk, 2))
+            a /= math.sqrt(2.0)
+            a_use = a[:, 0]
+        else:
+            a = _draw_qpsk(rng, (chunk, slots.size, Q))
+            a_use = a[:, slot0, 0]
         h = _standard_complex(rng, (chunk, powers.size))
         h *= np.sqrt(powers / 2.0)
 
-        per_path = a.reshape(chunk, -1) @ B
-        per_path *= h
-        lam_use = a[:, slot0, 0] * (h @ b_use)
+        lam_use = a_use * (h @ b_use)
         u_parts.append(np.abs(lam_use) ** 2)
-        i_parts.append(np.abs(per_path.sum(axis=1)) ** 2)
+        if gaussian:
+            # Given h, sum over atoms of a_atom (B' h)_atom is CN(0, ||B' h||^2).
+            rh = (h @ r_t).view(np.float64)
+            i_parts.append(np.abs(a[:, 1]) ** 2 * np.einsum("ij,ij->i", rh, rh))
+        else:
+            per_path = a.reshape(chunk, -1) @ B
+            per_path *= h
+            i_parts.append(np.abs(per_path.sum(axis=1)) ** 2)
         if noise_var > 0.0:
             # <psi, noise> of white noise of variance noise_var per sample is
             # CN(0, noise_var * ||psi||^2): draw it at the decision variable.

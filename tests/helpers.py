@@ -10,7 +10,7 @@ from scipy.special import j0
 from pops import (KernelMatrix, LatticeConfig, PathList, SeparableChannel, Waveform, normalized,
                   power_ratio)
 from pops.kernels import best_window_start, to_comb
-from pops.montecarlo import McEstimate, _draw_symbols, required_symbol_span
+from pops.montecarlo import McEstimate, _draw_qpsk, required_symbol_span
 
 
 def random_pathlist(rng, max_delay, k=3, complex_doppler=True, nu_scale=0.01):
@@ -245,12 +245,18 @@ def dense_oob_fraction(w, cfg, band_halfwidth_f):
 # ---------------------------------------------------------------------------
 
 def time_domain_mc(tx, rx, ch, cfg, snr, mc):
-    """``estimate_sinr`` written as the literal simulation, with the same draws:
-    per trial the transmitted span is synthesized slot by slot (one inverse DFT
-    each), every delay's time-varying gain multiplies its delayed copy on the
-    receive window, and the interference is what remains of Lambda = <psi, r>
-    once the a_00 term is removed.  The noise enters Lambda as its projection
-    on psi, one complex Gaussian per trial."""
+    """``estimate_sinr`` written as the literal simulation, with the same draws.
+
+    Every delay's time-varying gain multiplies its delayed copy of the
+    transmitted signal on the receive window, and the decision variable is
+    Lambda = <psi, r>.  With QPSK each trial's transmitted span is synthesized
+    slot by slot from its symbols (one inverse DFT each), and the interference
+    is what remains of Lambda once the a_00 term is removed.  With Gaussian
+    symbols the interference given the gains is CN(0, s^2), so a trial draws
+    a_00 and one unit complex Gaussian eps; s^2 is found by sending each
+    interfering atom alone through the trial's gains, correlating it with psi
+    and summing the squares.  The noise enters Lambda as its projection on
+    psi, one complex Gaussian per trial."""
     N, Q = cfg.N, cfg.Q
     l_rx = rx.samples.size
     window = rx.offset + np.arange(l_rx)
@@ -280,6 +286,23 @@ def time_domain_mc(tx, rx, ch, cfg, snr, mc):
         keep = (g >= span_lo) & (g < span_lo + span_len)
         slot_maps.append((g[keep] - span_lo, g[keep] % Q, tx.samples[keep]))
 
+    def synthesize(a):
+        """The transmitted span of symbols a (batch x slots x Q)."""
+        e_span = np.zeros((a.shape[0], span_len), dtype=np.complex128)
+        for idx, (pos, car, amp) in enumerate(slot_maps):
+            if pos.size == 0:
+                continue
+            base = Q * np.fft.ifft(a[:, idx, :], axis=1)
+            e_span[:, pos] += base[:, car] * amp
+        return e_span
+
+    gaussian = mc.alphabet == "gaussian"
+    if gaussian:
+        # Every interfering atom alone, with unit symbol: the detected one is silent.
+        atoms = np.eye(len(slots) * Q).reshape(-1, len(slots), Q)
+        atoms[slot0 * Q] = 0.0
+        e_atoms = synthesize(atoms)
+
     # Per-delay receive-window gather, and the slot-0, subcarrier-0 pulse it
     # delivers there (the useful branch).
     tap_idx = [window - d - span_lo for d in delays]
@@ -298,30 +321,38 @@ def time_domain_mc(tx, rx, ch, cfg, snr, mc):
         chunk = min(mc.chunk_size, remaining)
         remaining -= chunk
 
-        a = _draw_symbols(rng, (chunk, len(slots), Q), mc.alphabet)
+        if gaussian:
+            pair = (rng.standard_normal((chunk, 2))
+                    + 1j * rng.standard_normal((chunk, 2))) / math.sqrt(2.0)
+            a_use = pair[:, 0]
+        else:
+            a = _draw_qpsk(rng, (chunk, len(slots), Q))
+            a_use = a[:, slot0, 0]
+            e_span = synthesize(a)
         h = (rng.standard_normal((chunk, powers.size))
              + 1j * rng.standard_normal((chunk, powers.size)))
         h *= np.sqrt(powers / 2.0)
 
-        e_span = np.zeros((chunk, span_len), dtype=np.complex128)
-        for idx, (pos, car, amp) in enumerate(slot_maps):
-            if pos.size == 0:
-                continue
-            base = Q * np.fft.ifft(a[:, idx, :], axis=1)
-            e_span[:, pos] += base[:, car] * amp
-
-        r_full = np.zeros((chunk, l_rx), dtype=np.complex128)
         r_use = np.zeros((chunk, l_rx), dtype=np.complex128)
+        if gaussian:
+            lam_atoms = np.zeros((chunk, len(e_atoms)), dtype=np.complex128)
+        else:
+            r_full = np.zeros((chunk, l_rx), dtype=np.complex128)
         for tap, idx, use in zip(taps, tap_idx, tap_use):
             gain = h[:, tap] @ path_phase[tap]  # the tap's gain at each window sample
-            r_full += gain * e_span[:, idx]
             r_use += gain * use
-        r_use *= a[:, slot0, 0, None]
+            if gaussian:
+                lam_atoms += (gain * psi_c) @ e_atoms[:, idx].T
+            else:
+                r_full += gain * e_span[:, idx]
+        r_use *= a_use[:, None]
 
         lam_use = r_use @ psi_c
-        lam_int = (r_full - r_use) @ psi_c
         u_parts.append(np.abs(lam_use) ** 2)
-        i_parts.append(np.abs(lam_int) ** 2)
+        if gaussian:
+            i_parts.append(np.abs(pair[:, 1]) ** 2 * np.sum(np.abs(lam_atoms) ** 2, axis=1))
+        else:
+            i_parts.append(np.abs((r_full - r_use) @ psi_c) ** 2)
         if noise_var > 0.0:
             # White noise of variance noise_var per sample, projected on psi:
             # CN(0, noise_var ||psi||^2), drawn at the decision variable.

@@ -216,7 +216,8 @@ class TestZeroEnergy:
         def refuse(*args, **kwargs):
             raise AssertionError("no symbol may be drawn for a zero-energy pulse")
 
-        monkeypatch.setattr(montecarlo, "_draw_symbols", refuse)
+        monkeypatch.setattr(montecarlo, "_standard_complex", refuse)
+        monkeypatch.setattr(montecarlo, "_draw_qpsk", refuse)
         pair = {"tx": self.tx, "rx": self.rx}
         pair[silent] = Waveform(np.zeros(len(pair[silent])), offset=pair[silent].offset)
         with pytest.raises(ValueError, match="waveforms must have nonzero energy"):
@@ -332,3 +333,53 @@ class TestNoiseAtTheDecisionVariable:
         estimate_sinr(tx, rx, ch, cfg, 10.0, McConfig(trials=700, rng_seed=1, chunk_size=300))
         assert (300,) in shapes and (100,) in shapes  # the noise, one draw per trial
         assert all(len(rx) not in shape for shape in shapes), shapes
+
+
+class TestInterferenceAtTheDecisionVariable:
+    """With Gaussian symbols the interference is drawn given the path gains,
+    one complex Gaussian per trial scaled by ||B' h||, not symbol by symbol."""
+
+    def test_no_draw_spans_the_lattice_atoms(self, monkeypatch):
+        cfg = LatticeConfig(N=20, Q=16, Dphi=2, Dpsi=2)
+        rng = np.random.default_rng(5)
+        tx = random_waveform(rng, cfg.L_phi, offset=-3)
+        rx = random_waveform(rng, cfg.L_psi, offset=5)
+        ch = _grid_channel("paths", 2)
+        n_lo, n_hi = required_symbol_span(tx, rx, ch.max_delay, cfg.N)
+        atoms = (n_hi - n_lo + 1) * cfg.Q
+        assert atoms not in (ch.delays.size, 300, 100, 2)
+        shapes = []
+        draw = montecarlo._standard_complex
+
+        def record(rng, shape):
+            shapes.append(shape)
+            return draw(rng, shape)
+
+        monkeypatch.setattr(montecarlo, "_standard_complex", record)
+        estimate_sinr(tx, rx, ch, cfg, 10.0, McConfig(trials=700, rng_seed=1, chunk_size=300))
+        # Per chunk: (a_00, eps), the path gains, the noise.
+        assert shapes == [shape for c in (300, 300, 100)
+                          for shape in ((c, 2), (c, ch.delays.size), (c,))]
+        assert all(math.prod(shape[1:]) != atoms for shape in shapes), shapes
+
+    @pytest.mark.parametrize("D", [1, 2, 3])
+    def test_gaussian_and_qpsk_powers_agree(self, D):
+        # Both alphabets have unit power and uncorrelated symbols, so ps and
+        # pi have the same mean under either; QPSK sums every atom's symbol.
+        cfg = LatticeConfig(N=20, Q=16, Dphi=D, Dpsi=D)
+        rng = np.random.default_rng(40 + D)
+        tx = random_waveform(rng, cfg.L_phi, offset=-3)
+        rx = random_waveform(rng, cfg.L_psi, offset=5)
+        ch = _grid_channel("6 nodes", D)
+        seeds = range(20)
+        powers = {}
+        for alphabet in ("gaussian", "qpsk"):
+            runs = [estimate_sinr(tx, rx, ch, cfg, math.inf,
+                                  McConfig(trials=500, rng_seed=seed, alphabet=alphabet))
+                    for seed in seeds]
+            powers[alphabet] = np.array([[e.ps, e.pi] for e in runs])
+        mean = {a: p.mean(axis=0) for a, p in powers.items()}
+        se = {a: p.std(axis=0, ddof=1) / math.sqrt(len(seeds)) for a, p in powers.items()}
+        combined = np.hypot(se["gaussian"], se["qpsk"])
+        assert mean["gaussian"][1] > 0.01 * mean["gaussian"][0]
+        assert np.all(np.abs(mean["gaussian"] - mean["qpsk"]) <= 4.0 * combined), (mean, combined)

@@ -1,11 +1,17 @@
-"""The README's quick start runs as written and prints the values it documents."""
+"""The README runs as written and prints the values it documents."""
 
 import contextlib
 import io
 import re
 from pathlib import Path
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+import pytest
+
+from pops import McConfig, estimate_sinr, make_conventional_rx, make_conventional_tx, sinr
+from pops.scenario import load_scenario
+
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_quick_start_prints_documented_values():
@@ -20,3 +26,27 @@ def test_quick_start_prints_documented_values():
     assert len(printed) == len(documented)
     for value, prefix in zip(printed, documented):
         assert value.startswith(prefix), f"README documents {prefix}..., the code prints {value}"
+
+
+# "... of small.ini at snr=10 with 3000 trials estimates 7.936 at chunk_size 8192
+# and 7.398 at 1000 (analytic 7.815, ..."
+_CHUNK_EXAMPLE = re.compile(r"small\.ini at snr=(\d+) with (\d+) trials estimates (\d+\.\d+) at "
+                            r"chunk_size (\d+) and (\d+\.\d+) at (\d+) \(analytic (\d+\.\d+)")
+
+
+@pytest.mark.parametrize("where", ["README", "McConfig"])
+def test_chunk_size_example_matches_the_stream(where):
+    text = README.read_text() if where == "README" else McConfig.__doc__
+    snr, trials, *documented = _CHUNK_EXAMPLE.search(
+        " ".join(text.replace("`", "").split())).groups()
+    sc = load_scenario(ROOT / "demos" / "scenarios" / "small.ini")
+    cfg = sc.lattice()
+    tx, rx = make_conventional_tx(cfg), make_conventional_rx(cfg)
+    ch = sc.channel()
+    printed = []
+    for chunk_size in (documented[1], documented[3]):
+        est = estimate_sinr(tx, rx, ch, cfg, float(snr),
+                            McConfig(trials=int(trials), chunk_size=int(chunk_size)))
+        printed += [f"{est.sinr:.3f}", chunk_size]
+    printed.append(f"{sinr(tx, rx, ch, cfg, float(snr)).sinr:.3f}")
+    assert printed == documented
