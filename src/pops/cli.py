@@ -33,7 +33,6 @@ from .lattice import (
     load_waveform_csv,
     make_conventional_rx,
     make_conventional_tx,
-    make_hermite_init,
 )
 from .montecarlo import estimate_sinr
 from .optimizer import half_step, run_pops, save_pops_result
@@ -317,8 +316,7 @@ def _cmd_validate(sc: Scenario, args) -> str:
     err = power_err(sinr_time_reversed(tx_cv, rx_cv, ch, cfg, snr), engine)
     checks.append(("time-reversal-identity", err <= 1e-10, f"power err {err:.3e} of ps + pi"))
 
-    pcfg = sc.pops(cfg)
-    phi = pcfg.init if pcfg.init is not None else make_hermite_init(cfg, [1.0])
+    phi = sc.pops(cfg).init
     ks, kin = build_ks_kin(phi, ch, cfg, cfg.L_psi, snr)
     psi, value = half_step(ks, kin)
     err = rel(value, sinr(phi, psi, ch, cfg, snr).sinr)

@@ -129,9 +129,7 @@ _SCHEMA: dict[str, dict[str, str | None]] = {
     "mc": {
         "trials": "10000",
         "alphabet": "gaussian",
-        "doppler_grid_size": "64",
         "rng_seed": "0",
-        "chunk_size": "8192",
     },
     "psd": {"oversample": "16", "n_subcarriers": "1", "source": "optimized-tx", "file": None},
 }
@@ -313,9 +311,7 @@ class Scenario:
             return McConfig(
                 trials=self._int("mc", "trials"),
                 alphabet=self._require("mc", "alphabet"),
-                doppler_grid_size=self._int("mc", "doppler_grid_size"),
                 rng_seed=self._int("mc", "rng_seed"),
-                chunk_size=self._int("mc", "chunk_size"),
             )
 
     def sinr_pair(self, cfg: LatticeConfig) -> tuple[Waveform, Waveform]:

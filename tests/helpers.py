@@ -256,7 +256,9 @@ def time_domain_mc(tx, rx, ch, cfg, snr, mc):
     a_00 and one unit complex Gaussian eps; s^2 is found by sending each
     interfering atom alone through the trial's gains, correlating it with psi
     and summing the squares.  The noise enters Lambda as its projection on
-    psi, one complex Gaussian per trial."""
+    psi, one complex Gaussian per trial.  All trials are drawn in one pass
+    from the estimator's three streams, so agreement also shows that its
+    chunking changes nothing."""
     N, Q = cfg.N, cfg.Q
     l_rx = rx.samples.size
     window = rx.offset + np.arange(l_rx)
@@ -312,58 +314,53 @@ def time_domain_mc(tx, rx, ch, cfg, snr, mc):
     psi_c = rx.samples.conj()
     scale = tx.energy * rx.energy
 
-    u_parts, i_parts, n_parts = [], [], []
-    n_chunks = -(-mc.trials // mc.chunk_size)
-    seeds = np.random.SeedSequence(mc.rng_seed).spawn(n_chunks)
-    remaining = mc.trials
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        chunk = min(mc.chunk_size, remaining)
-        remaining -= chunk
+    # The estimator's three streams, all trials in one pass; a complex normal
+    # is an interleaved (re, im) pair.
+    symbols, gains, noise = map(np.random.default_rng,
+                                np.random.SeedSequence(mc.rng_seed).spawn(3))
 
+    def complex_normal(rng, shape):
+        xy = rng.standard_normal(shape + (2,))
+        return xy[..., 0] + 1j * xy[..., 1]
+
+    trials = mc.trials
+    if gaussian:
+        pair = complex_normal(symbols, (trials, 2)) / math.sqrt(2.0)
+        a_use = pair[:, 0]
+    else:
+        a = _draw_qpsk(symbols, (trials, len(slots), Q))
+        a_use = a[:, slot0, 0]
+        e_span = synthesize(a)
+    h = complex_normal(gains, (trials, powers.size))
+    h *= np.sqrt(powers / 2.0)
+
+    r_use = np.zeros((trials, l_rx), dtype=np.complex128)
+    if gaussian:
+        lam_atoms = np.zeros((trials, len(e_atoms)), dtype=np.complex128)
+    else:
+        r_full = np.zeros((trials, l_rx), dtype=np.complex128)
+    for tap, idx, use in zip(taps, tap_idx, tap_use):
+        gain = h[:, tap] @ path_phase[tap]  # the tap's gain at each window sample
+        r_use += gain * use
         if gaussian:
-            pair = (rng.standard_normal((chunk, 2))
-                    + 1j * rng.standard_normal((chunk, 2))) / math.sqrt(2.0)
-            a_use = pair[:, 0]
+            lam_atoms += (gain * psi_c) @ e_atoms[:, idx].T
         else:
-            a = _draw_qpsk(rng, (chunk, len(slots), Q))
-            a_use = a[:, slot0, 0]
-            e_span = synthesize(a)
-        h = (rng.standard_normal((chunk, powers.size))
-             + 1j * rng.standard_normal((chunk, powers.size)))
-        h *= np.sqrt(powers / 2.0)
+            r_full += gain * e_span[:, idx]
+    r_use *= a_use[:, None]
 
-        r_use = np.zeros((chunk, l_rx), dtype=np.complex128)
-        if gaussian:
-            lam_atoms = np.zeros((chunk, len(e_atoms)), dtype=np.complex128)
-        else:
-            r_full = np.zeros((chunk, l_rx), dtype=np.complex128)
-        for tap, idx, use in zip(taps, tap_idx, tap_use):
-            gain = h[:, tap] @ path_phase[tap]  # the tap's gain at each window sample
-            r_use += gain * use
-            if gaussian:
-                lam_atoms += (gain * psi_c) @ e_atoms[:, idx].T
-            else:
-                r_full += gain * e_span[:, idx]
-        r_use *= a_use[:, None]
+    u = np.abs(r_use @ psi_c) ** 2
+    if gaussian:
+        v = np.abs(pair[:, 1]) ** 2 * np.sum(np.abs(lam_atoms) ** 2, axis=1)
+    else:
+        v = np.abs((r_full - r_use) @ psi_c) ** 2
+    w = np.zeros(trials)
+    if noise_var > 0.0:
+        # White noise of variance noise_var per sample, projected on psi:
+        # CN(0, noise_var ||psi||^2), drawn at the decision variable.
+        lam_noise = complex_normal(noise, (trials,)) * math.sqrt(
+            noise_var * np.sum(np.abs(psi_c) ** 2) / 2.0)
+        w = np.abs(lam_noise) ** 2
 
-        lam_use = r_use @ psi_c
-        u_parts.append(np.abs(lam_use) ** 2)
-        if gaussian:
-            i_parts.append(np.abs(pair[:, 1]) ** 2 * np.sum(np.abs(lam_atoms) ** 2, axis=1))
-        else:
-            i_parts.append(np.abs((r_full - r_use) @ psi_c) ** 2)
-        if noise_var > 0.0:
-            # White noise of variance noise_var per sample, projected on psi:
-            # CN(0, noise_var ||psi||^2), drawn at the decision variable.
-            lam_noise = (
-                rng.standard_normal(chunk) + 1j * rng.standard_normal(chunk)
-            ) * math.sqrt(noise_var * np.sum(np.abs(psi_c) ** 2) / 2.0)
-            n_parts.append(np.abs(lam_noise) ** 2)
-
-    u = np.concatenate(u_parts)
-    v = np.concatenate(i_parts)
-    w = np.concatenate(n_parts) if n_parts else np.zeros_like(v)
     t = float(mc.trials)
     ps, pi, pn = (float(x.mean()) / scale for x in (u, v, w))
     est = power_ratio(ps, pi + pn)

@@ -1,5 +1,6 @@
 """Direct link simulation as an independent check on the kernel algebra."""
 
+import itertools
 import math
 from pathlib import Path
 
@@ -24,6 +25,37 @@ from pops import montecarlo
 from pops.cli import EXIT_VALIDATION, main
 
 
+def _record_draws(monkeypatch):
+    """Log every array the estimator draws, by draw function and shape per trial."""
+    drawn = {}
+    for name in ("_standard_complex", "_draw_qpsk"):
+        def record(rng, shape, name=name, draw=getattr(montecarlo, name)):
+            values = draw(rng, shape)
+            drawn.setdefault((name, shape[1:]), []).append(values.copy())
+            return values
+
+        monkeypatch.setattr(montecarlo, name, record)
+    return drawn
+
+
+def _record_normal_shapes(monkeypatch):
+    """Log the shape of every standard-normal draw, in chunks of 300 trials."""
+    shapes = []
+    draw = montecarlo._standard_complex
+
+    class Logged:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def standard_normal(self, size):
+            shapes.append(size)
+            return self.rng.standard_normal(size)
+
+    monkeypatch.setattr(montecarlo, "_standard_complex", lambda rng, shape: draw(Logged(rng), shape))
+    monkeypatch.setattr(montecarlo, "_CHUNK_TRIALS", 300)
+    return shapes
+
+
 class TestMcConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -31,12 +63,10 @@ class TestMcConfig:
         with pytest.raises(ValueError):
             McConfig(trials=10, alphabet="256qam")
         with pytest.raises(ValueError):
-            McConfig(trials=10, chunk_size=0)
-        with pytest.raises(ValueError):
             McConfig(trials=10, doppler_grid_size=0)
 
     @pytest.mark.parametrize("field,value", [
-        ("trials", True), ("chunk_size", True), ("rng_seed", True),
+        ("trials", True), ("rng_seed", True),
         ("rng_seed", -1), ("rng_seed", 1.5), ("trials", 100.0),
     ])
     def test_integers_only(self, field, value):
@@ -44,7 +74,7 @@ class TestMcConfig:
             McConfig(**{"trials": 10, field: value})
 
     def test_numpy_integers_accepted(self):
-        mc = McConfig(trials=np.int64(100), rng_seed=np.uint32(0), chunk_size=np.int32(7))
+        mc = McConfig(trials=np.int64(100), rng_seed=np.uint32(0))
         assert mc.trials == 100
 
     def test_doppler_grid_size_is_retired(self):
@@ -58,6 +88,13 @@ class TestMcConfig:
                      "--set", f"run.output_dir={tmp_path}"])
         assert code == EXIT_VALIDATION
         assert "mc: rng_seed" in capsys.readouterr().err
+
+    def test_cli_names_the_retired_chunk_size(self, tmp_path, capsys):
+        ini = Path(__file__).resolve().parent.parent / "demos" / "scenarios" / "small.ini"
+        code = main(["montecarlo", str(ini), "--set", "mc.chunk_size=1000",
+                     "--set", f"run.output_dir={tmp_path}"])
+        assert code == EXIT_VALIDATION
+        assert "unknown key mc.chunk_size" in capsys.readouterr().err
 
 
 class TestSymbolSpan:
@@ -177,15 +214,27 @@ class TestEstimatorStatistics:
         b = estimate_sinr(self.tx, self.rx, self.ch, self.cfg, 10.0, mc)
         assert a.sinr == b.sinr and a.se == b.se
 
-    def test_chunking_does_not_change_the_estimate(self):
-        # Each chunk draws from its own stream spawned from the seed, so a
-        # different chunking draws different trials: the estimates agree
-        # only statistically, within their error bars.
-        a = estimate_sinr(self.tx, self.rx, self.ch, self.cfg, 10.0,
-                          McConfig(trials=4000, rng_seed=9, chunk_size=4000))
-        b = estimate_sinr(self.tx, self.rx, self.ch, self.cfg, 10.0,
-                          McConfig(trials=4000, rng_seed=9, chunk_size=1000))
-        assert abs(a.sinr - b.sinr) < 3.0 * (a.se + b.se)
+    def test_chunking_does_not_change_the_estimate(self, monkeypatch):
+        # Each variate kind has its own stream, drawn in trial order, so every
+        # chunking draws the same numbers and estimates the same to rounding.
+        drawn = _record_draws(monkeypatch)
+        for alphabet, snr in itertools.product(("gaussian", "qpsk"), (10.0, math.inf)):
+            mc = McConfig(trials=2000, rng_seed=9, alphabet=alphabet)
+            runs = []
+            for chunk in (8192, 1000, 7, 1):
+                monkeypatch.setattr(montecarlo, "_CHUNK_TRIALS", chunk)
+                drawn.clear()
+                est = estimate_sinr(self.tx, self.rx, self.ch, self.cfg, snr, mc)
+                runs.append((est, {kind: np.concatenate(parts) for kind, parts in drawn.items()}))
+            (want, want_drawn), *others = runs
+            assert (("_standard_complex", ()) in want_drawn) == math.isfinite(snr)  # the noise
+            for got, got_drawn in others:
+                assert got_drawn.keys() == want_drawn.keys()
+                for kind, values in want_drawn.items():
+                    assert np.array_equal(got_drawn[kind], values), (alphabet, snr, kind)
+                for field in ("ps", "pi", "pn", "sinr", "se"):
+                    want_value = pytest.approx(getattr(want, field), rel=1e-13, abs=0.0)
+                    assert getattr(got, field) == want_value, (alphabet, snr, field)
 
     def test_seed_changes_the_estimate(self):
         a = estimate_sinr(self.tx, self.rx, self.ch, self.cfg, 10.0,
@@ -261,18 +310,21 @@ class TestAgainstTimeDomain:
         if kind != "paths":
             assert ch.doppler_nodes(len(rx)).shape == (1, int(kind.split()[0]))
         assert required_symbol_span(tx, rx, ch.max_delay, cfg.N)[0] < 0
-        mc = McConfig(trials=700, rng_seed=D, alphabet=alphabet, chunk_size=300)
+        mc = McConfig(trials=700, rng_seed=D, alphabet=alphabet)
+        monkeypatch.setattr(montecarlo, "_CHUNK_TRIALS", 300)  # the oracle draws in one pass
         got = estimate_sinr(tx, rx, ch, cfg, snr, mc)
         want = time_domain_mc(tx, rx, ch, cfg, snr, mc)
         assert got.pi > 0.01 * got.ps
         for field in ("ps", "pi", "pn", "sinr", "se"):
             want_value = pytest.approx(getattr(want, field), rel=1e-12, abs=0.0)
             assert getattr(got, field) == want_value, field
-        # Symbols, gains and noise written in place as z.real, z.imag carry the
-        # bits of x + 1j * y, so the estimate is the same to the last bit.
-        monkeypatch.setattr(montecarlo, "_standard_complex",
-                            lambda rng, shape: rng.standard_normal(shape)
-                            + 1j * rng.standard_normal(shape))
+        # Complex normals are interleaved (x, y) pairs read in place: built as
+        # x + 1j * y from the same pairs, the estimate is the same to the last bit.
+        def summed(rng, shape):
+            xy = rng.standard_normal(shape + (2,))
+            return xy[..., 0] + 1j * xy[..., 1]
+
+        monkeypatch.setattr(montecarlo, "_standard_complex", summed)
         summed = estimate_sinr(tx, rx, ch, cfg, snr, mc)
         for field in ("ps", "pi", "pn", "sinr", "se"):
             assert getattr(got, field) == getattr(summed, field), field
@@ -322,16 +374,9 @@ class TestNoiseAtTheDecisionVariable:
         rx = random_waveform(rng, cfg.L_psi - 3, offset=5)
         ch = _grid_channel("paths", 2)
         assert len(rx) not in (cfg.Q, ch.delays.size)
-        shapes = []
-        draw = montecarlo._standard_complex
-
-        def record(rng, shape):
-            shapes.append(shape)
-            return draw(rng, shape)
-
-        monkeypatch.setattr(montecarlo, "_standard_complex", record)
-        estimate_sinr(tx, rx, ch, cfg, 10.0, McConfig(trials=700, rng_seed=1, chunk_size=300))
-        assert (300,) in shapes and (100,) in shapes  # the noise, one draw per trial
+        shapes = _record_normal_shapes(monkeypatch)
+        estimate_sinr(tx, rx, ch, cfg, 10.0, McConfig(trials=700, rng_seed=1))
+        assert (300, 2) in shapes and (100, 2) in shapes  # the noise, one pair per trial
         assert all(len(rx) not in shape for shape in shapes), shapes
 
 
@@ -348,19 +393,12 @@ class TestInterferenceAtTheDecisionVariable:
         n_lo, n_hi = required_symbol_span(tx, rx, ch.max_delay, cfg.N)
         atoms = (n_hi - n_lo + 1) * cfg.Q
         assert atoms not in (ch.delays.size, 300, 100, 2)
-        shapes = []
-        draw = montecarlo._standard_complex
-
-        def record(rng, shape):
-            shapes.append(shape)
-            return draw(rng, shape)
-
-        monkeypatch.setattr(montecarlo, "_standard_complex", record)
-        estimate_sinr(tx, rx, ch, cfg, 10.0, McConfig(trials=700, rng_seed=1, chunk_size=300))
-        # Per chunk: (a_00, eps), the path gains, the noise.
+        shapes = _record_normal_shapes(monkeypatch)
+        estimate_sinr(tx, rx, ch, cfg, 10.0, McConfig(trials=700, rng_seed=1))
+        # Per chunk, as (re, im) pairs: (a_00, eps), the path gains, the noise.
         assert shapes == [shape for c in (300, 300, 100)
-                          for shape in ((c, 2), (c, ch.delays.size), (c,))]
-        assert all(math.prod(shape[1:]) != atoms for shape in shapes), shapes
+                          for shape in ((c, 2, 2), (c, ch.delays.size, 2), (c, 2))]
+        assert all(math.prod(shape[1:]) < atoms for shape in shapes), shapes
 
     @pytest.mark.parametrize("D", [1, 2, 3])
     def test_gaussian_and_qpsk_powers_agree(self, D):

@@ -28,25 +28,23 @@ def test_quick_start_prints_documented_values():
         assert value.startswith(prefix), f"README documents {prefix}..., the code prints {value}"
 
 
-# "... of small.ini at snr=10 with 3000 trials estimates 7.936 at chunk_size 8192
-# and 7.398 at 1000 (analytic 7.815, ..."
-_CHUNK_EXAMPLE = re.compile(r"small\.ini at snr=(\d+) with (\d+) trials estimates (\d+\.\d+) at "
-                            r"chunk_size (\d+) and (\d+\.\d+) at (\d+) \(analytic (\d+\.\d+)")
+# "... of small.ini at snr=10 with 3000 trials and rng_seed 0 estimates 8.471
+# (standard error 0.319; analytic 7.815)"
+_SEED_EXAMPLE = re.compile(r"small\.ini at snr=(\d+) with (\d+) trials and rng_seed (\d+) "
+                           r"estimates (\d+\.\d+) \(standard error (\d+\.\d+); "
+                           r"analytic (\d+\.\d+)\)")
 
 
 @pytest.mark.parametrize("where", ["README", "McConfig"])
-def test_chunk_size_example_matches_the_stream(where):
+def test_seed_example_matches_the_stream(where):
     text = README.read_text() if where == "README" else McConfig.__doc__
-    snr, trials, *documented = _CHUNK_EXAMPLE.search(
+    snr, trials, seed, *documented = _SEED_EXAMPLE.search(
         " ".join(text.replace("`", "").split())).groups()
     sc = load_scenario(ROOT / "demos" / "scenarios" / "small.ini")
     cfg = sc.lattice()
     tx, rx = make_conventional_tx(cfg), make_conventional_rx(cfg)
     ch = sc.channel()
-    printed = []
-    for chunk_size in (documented[1], documented[3]):
-        est = estimate_sinr(tx, rx, ch, cfg, float(snr),
-                            McConfig(trials=int(trials), chunk_size=int(chunk_size)))
-        printed += [f"{est.sinr:.3f}", chunk_size]
-    printed.append(f"{sinr(tx, rx, ch, cfg, float(snr)).sinr:.3f}")
+    est = estimate_sinr(tx, rx, ch, cfg, float(snr),
+                        McConfig(trials=int(trials), rng_seed=int(seed)))
+    printed = [f"{est.sinr:.3f}", f"{est.se:.3f}", f"{sinr(tx, rx, ch, cfg, float(snr)).sinr:.3f}"]
     assert printed == documented

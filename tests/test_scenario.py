@@ -87,6 +87,13 @@ class TestParsing:
         with pytest.raises(ScenarioError, match=r"unknown key mc\.n_symbols"):
             scenario_from_text(MINIMAL + "\n[mc]\nn_symbols = 3\n")
 
+    @pytest.mark.parametrize("key,value", [("doppler_grid_size", "64"), ("chunk_size", "8192")])
+    def test_retired_mc_grid_and_chunk_keys_are_named(self, key, value):
+        with pytest.raises(ScenarioError, match=rf"unknown key mc\.{key}"):
+            scenario_from_text(MINIMAL + f"\n[mc]\n{key} = {value}\n")
+        with pytest.raises(ScenarioError, match=rf"unknown key mc\.{key}"):
+            scenario_from_text(MINIMAL, overrides=[f"mc.{key}={value}"])
+
     def test_unknown_section_is_named(self):
         with pytest.raises(ScenarioError, match="radio"):
             scenario_from_text(MINIMAL + "\n[radio]\npower = 1\n")
